@@ -25,10 +25,6 @@ Value ObjectState::apply(OpId id, const Value& arg) {
 
 void ObjectState::fingerprint_into(FpHasher& h) const { h.mix_bytes(canonical()); }
 
-void ObjectState::assign_from(const ObjectState& /*other*/) {
-  throw std::logic_error("ObjectState::assign_from: state does not support assignment");
-}
-
 ObjectState* ObjectState::clone_into(void* /*mem*/) const {
   throw std::logic_error(
       "ObjectState::clone_into: state does not support placement copies "

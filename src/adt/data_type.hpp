@@ -62,6 +62,8 @@ enum class MonitorFamily {
   return "?";
 }
 
+class Trail;  // adt/trail.hpp
+
 /// Mutable sequential state of one object.  Implementations are value-like:
 /// cloneable and canonically printable (the canonical form is the display
 /// encoding and the exact equivalence check; memoization keys on the cheaper
@@ -118,14 +120,17 @@ class ObjectState {
     return h.finish();
   }
 
-  /// True if assign_from() is available (states deriving StateBase).  Lets
-  /// the checkers reuse scratch states instead of cloning per probe.
-  [[nodiscard]] virtual bool supports_assign() const { return false; }
+  /// apply(id, arg), recording on `trail` what undo() needs to revert it.
+  /// The linearizability search probes candidates this way on one live
+  /// state.  StateBase supplies a snapshot default; states with an O(1)
+  /// inverse override it.
+  virtual Value apply_trailed(OpId id, const Value& arg, Trail& trail) = 0;
 
-  /// Overwrites this state with a copy of `other` (same dynamic type
-  /// required).  Default throws std::logic_error; StateBase overrides via
-  /// the derived copy assignment.
-  virtual void assign_from(const ObjectState& other);
+  /// Reverts the most recent apply_trailed() on `trail` that has not been
+  /// undone yet, which must have been applied to this state, and pops its
+  /// entries.  Afterwards canonical() and fingerprint() equal their values
+  /// before that apply.
+  virtual void undo(Trail& trail) = 0;
 
   /// Binds the OpTable used by the default OpId apply().  Set automatically
   /// by DataType::initial_state() and preserved by clone()/copy.

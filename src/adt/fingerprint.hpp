@@ -6,8 +6,9 @@
 // allocation-bound, so states instead stream their structure into an
 // FpHasher and the checkers key on the resulting 128-bit Fingerprint.
 // canonical() survives as the display form and as the collision verifier:
-// the memo stores the canonical string alongside each fingerprint and only
-// prunes when both match, so a fingerprint collision costs re-exploration,
+// the memo keeps a clone of the first dead state under each fingerprint key
+// and, when a later node hits that key, only prunes if the two states'
+// canonical() forms match, so a fingerprint collision costs re-exploration,
 // never a wrong verdict.
 //
 // Determinism contract (enforced by detlint): fingerprints are a pure

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "adt/state_base.hpp"
+#include "adt/trail.hpp"
 
 namespace lintime::adt {
 
@@ -22,6 +23,8 @@ const OpTable& queue_table() {
 }
 
 constexpr std::uint64_t kFpTag = 3;  // distinct per shipped type
+
+enum : std::int64_t { kUndoNothing = 0, kUndoEnqueue = 1, kUndoDequeue = 2 };  // trail tags
 
 class QueueState final : public StateBase<QueueState> {
  public:
@@ -47,6 +50,34 @@ class QueueState final : public StateBase<QueueState> {
         return Value{items_.front()};
       default:
         throw std::invalid_argument("queue: unknown op id");
+    }
+  }
+
+  // O(1) undo: an enqueue is undone by dropping the back, a dequeue that
+  // returned a value by pushing it back at the front.
+  Value apply_trailed(OpId id, const Value& arg, Trail& trail) override {
+    Value ret = apply(id, arg);
+    if (id.index() == kEnqueueIdx) {
+      trail.push(kUndoEnqueue);
+    } else if (id.index() == kDequeueIdx && ret.is_int()) {
+      trail.push(ret.as_int());
+      trail.push(kUndoDequeue);
+    } else {
+      trail.push(kUndoNothing);
+    }
+    return ret;
+  }
+
+  void undo(Trail& trail) override {
+    switch (trail.pop()) {
+      case kUndoEnqueue:
+        items_.pop_back();
+        break;
+      case kUndoDequeue:
+        items_.push_front(trail.pop());
+        break;
+      default:
+        break;
     }
   }
 

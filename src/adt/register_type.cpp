@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "adt/state_base.hpp"
+#include "adt/trail.hpp"
 
 namespace lintime::adt {
 
@@ -41,6 +42,14 @@ class RegisterState final : public StateBase<RegisterState> {
         throw std::invalid_argument("register: unknown op id");
     }
   }
+
+  // O(1) undo: save the value a write may overwrite.
+  Value apply_trailed(OpId id, const Value& arg, Trail& trail) override {
+    trail.push(value_);
+    return apply(id, arg);
+  }
+
+  void undo(Trail& trail) override { value_ = trail.pop(); }
 
   [[nodiscard]] std::string canonical() const override { return "reg:" + std::to_string(value_); }
 

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "adt/state_base.hpp"
+#include "adt/trail.hpp"
 
 namespace lintime::adt {
 
@@ -21,6 +22,8 @@ const OpTable& stack_table() {
 }
 
 constexpr std::uint64_t kFpTag = 4;
+
+enum : std::int64_t { kUndoNothing = 0, kUndoPush = 1, kUndoPop = 2 };  // trail tags
 
 class StackState final : public StateBase<StackState> {
  public:
@@ -46,6 +49,34 @@ class StackState final : public StateBase<StackState> {
         return Value{items_.back()};
       default:
         throw std::invalid_argument("stack: unknown op id");
+    }
+  }
+
+  // O(1) undo: a push is undone by dropping the top, a pop that returned a
+  // value by pushing it back.
+  Value apply_trailed(OpId id, const Value& arg, Trail& trail) override {
+    Value ret = apply(id, arg);
+    if (id.index() == kPushIdx) {
+      trail.push(kUndoPush);
+    } else if (id.index() == kPopIdx && ret.is_int()) {
+      trail.push(ret.as_int());
+      trail.push(kUndoPop);
+    } else {
+      trail.push(kUndoNothing);
+    }
+    return ret;
+  }
+
+  void undo(Trail& trail) override {
+    switch (trail.pop()) {
+      case kUndoPush:
+        items_.pop_back();
+        break;
+      case kUndoPop:
+        items_.push_back(trail.pop());
+        break;
+      default:
+        break;
     }
   }
 

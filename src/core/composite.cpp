@@ -3,6 +3,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "adt/trail.hpp"
+
 namespace lintime::core {
 
 QualifiedOp parse_qualified(const std::string& name) {
@@ -52,19 +54,17 @@ class ProductState final : public adt::ObjectState {
     return std::make_unique<ProductState>(*this);
   }
 
-  [[nodiscard]] bool supports_assign() const override { return true; }
+  // Undo forwards to the component the op went to; the component's own
+  // entries sit below the object index on the trail.
+  adt::Value apply_trailed(adt::OpId id, const adt::Value& arg, adt::Trail& trail) override {
+    const auto& sub = owner_->sub_op(id);
+    adt::Value ret = states_[sub.object]->apply_trailed(sub.op, arg, trail);
+    trail.push(static_cast<std::int64_t>(sub.object));
+    return ret;
+  }
 
-  void assign_from(const adt::ObjectState& other) override {
-    const auto& o = dynamic_cast<const ProductState&>(other);
-    adt::ObjectState::operator=(o);
-    owner_ = o.owner_;
-    for (std::size_t i = 0; i < states_.size(); ++i) {
-      if (states_[i]->supports_assign()) {
-        states_[i]->assign_from(*o.states_[i]);
-      } else {
-        states_[i] = o.states_[i]->clone();
-      }
-    }
+  void undo(adt::Trail& trail) override {
+    states_[static_cast<std::size_t>(trail.pop())]->undo(trail);
   }
 
   [[nodiscard]] std::string canonical() const override {

@@ -8,6 +8,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "adt/trail.hpp"
+
 namespace lintime::core {
 
 namespace {
@@ -179,6 +181,20 @@ class KeyedState final : public adt::ObjectState {
     }
     return materialize(ka.key).apply(ShardedStore::component_op(id), *ka.inner);
   }
+
+  // Undo forwards to the key's component state.  A key first touched by a
+  // trailed apply stays materialized after its undo; its state is then the
+  // initial one, which canonical() and fingerprint_into() omit.
+  adt::Value apply_trailed(adt::OpId id, const adt::Value& arg, adt::Trail& trail) override {
+    const auto ka = owner_->split(arg);
+    adt::ObjectState* state = states_.find(ka.key);
+    if (state == nullptr) state = &materialize(ka.key);
+    adt::Value ret = state->apply_trailed(ShardedStore::component_op(id), *ka.inner, trail);
+    trail.push(ka.key);
+    return ret;
+  }
+
+  void undo(adt::Trail& trail) override { states_.find(trail.pop())->undo(trail); }
 
   [[nodiscard]] std::unique_ptr<adt::ObjectState> clone() const override {
     return std::make_unique<KeyedState>(*this);

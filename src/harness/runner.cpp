@@ -266,7 +266,7 @@ std::vector<std::vector<ScriptOp>> sharded_scripts(const core::ShardedStore& sto
       const auto& spec = specs[rng() % specs.size()];
       const auto key = static_cast<std::int64_t>(rng() % num_keys);
       adt::Value inner = spec.takes_arg
-                             ? adt::Value{static_cast<std::int64_t>(p) * ops_per_proc + i}
+                             ? adt::Value{static_cast<std::int64_t>(p) * ops_per_proc + i + 1}
                              : adt::Value::nil();
       script.push_back(ScriptOp{spec.name, core::ShardedStore::keyed(key, std::move(inner))});
     }
@@ -290,7 +290,7 @@ std::vector<Call> sharded_calls(const core::ShardedStore& store, int n, int ops_
       const auto& spec = specs[rng() % specs.size()];
       const auto key = static_cast<std::int64_t>(rng() % num_keys);
       adt::Value inner = spec.takes_arg
-                             ? adt::Value{static_cast<std::int64_t>(p) * ops_per_proc + i}
+                             ? adt::Value{static_cast<std::int64_t>(p) * ops_per_proc + i + 1}
                              : adt::Value::nil();
       const double when = (static_cast<double>(i) + static_cast<double>(p) / n) * spacing;
       calls.push_back(

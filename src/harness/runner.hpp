@@ -85,9 +85,12 @@ struct RunSpec {
   sim::FaultSchedule faults;
 
   /// Simulator knobs (see sim::WorldConfig).  Serving-scale runs use
-  /// kOpsOnly recording and a raised max_events (Algorithm 1 generates
-  /// roughly 3n+2 events per operation, most of them cancelled-but-popped
-  /// execute timers, so 10^6 ops at n = 4 needs > 10^7 events).
+  /// kOpsOnly recording and a raised max_events.  Measured by perfbench's
+  /// ledger at n = 8 with 50/50 reads and writes, a serving op costs about
+  /// 10.0 events (1 invoke, 3.5 deliveries, 5.48 timers set), and only 0.03
+  /// cancelled timers per op are still popped (0.66 in the closed loops
+  /// under random delays of check-search), so 10^6 ops need about 10^7
+  /// events.
   sim::SchedulerKind scheduler = sim::SchedulerKind::kEventRing;
   sim::RecordDetail record_detail = sim::RecordDetail::kFull;
   std::uint64_t max_events = 10'000'000;
@@ -153,9 +156,11 @@ struct RunResult {
 
 /// Generates a closed-loop serving workload over a ShardedStore: keys drawn
 /// uniformly from the keyspace, component operations drawn uniformly, and
-/// integer arguments globally unique (proc * ops_per_proc + i), which keeps
-/// per-key restrictions inside the fast monitors' distinct-value
-/// precondition for components like registers.  Deterministic per seed.
+/// integer arguments globally unique (1 + proc * ops_per_proc + i), which
+/// keeps per-key restrictions inside the fast monitors' distinct-value
+/// precondition for components like registers.  Arguments start at 1 so no
+/// write repeats a register's initial 0 (a history that does goes to the
+/// general search).  Deterministic per seed.
 [[nodiscard]] std::vector<std::vector<ScriptOp>> sharded_scripts(const core::ShardedStore& store,
                                                                  int n, int ops_per_proc,
                                                                  std::uint64_t seed);

@@ -148,7 +148,7 @@ WorkloadPlan ShardedWorkloadGen::generate(const adt::DataType& type,
         const auto& spec = specs[rng() % specs.size()];
         const std::int64_t key = draw_key();
         adt::Value inner = spec.takes_arg
-                               ? adt::Value{static_cast<std::int64_t>(p) * o.ops_per_proc + i}
+                               ? adt::Value{static_cast<std::int64_t>(p) * o.ops_per_proc + i + 1}
                                : adt::Value::nil();
         script.push_back(ScriptOp{spec.name, core::ShardedStore::keyed(key, std::move(inner))});
       }
@@ -172,7 +172,7 @@ WorkloadPlan ShardedWorkloadGen::generate(const adt::DataType& type,
       const auto& spec = specs[rng() % specs.size()];
       const std::int64_t key = draw_key();
       adt::Value inner = spec.takes_arg
-                             ? adt::Value{static_cast<std::int64_t>(p) * o.ops_per_proc + i}
+                             ? adt::Value{static_cast<std::int64_t>(p) * o.ops_per_proc + i + 1}
                              : adt::Value::nil();
       const double when = o.burst > 0
                               ? epoch + (static_cast<double>(p) / n) * o.spacing

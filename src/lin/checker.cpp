@@ -1,109 +1,10 @@
 #include "lin/checker.hpp"
 
 #include <sstream>
-#include <stdexcept>
 
 #include "lin/search_detail.hpp"
 
 namespace lintime::lin {
-
-namespace detail {
-
-namespace {
-
-class Search {
- public:
-  Search(const adt::DataType& type, const std::vector<sim::OpRecord>& ops,
-         const std::function<bool(std::size_t, std::size_t)>& precedes_fn,
-         const CheckOptions& options)
-      : ops_(ops), n_(ops.size()), prec_(n_, precedes_fn), options_(options) {
-    // Resolve every record's operation name to its interned id once; the
-    // probe loop then dispatches on integers only.  Pure accessors never
-    // mutate, so their probes run on the live state without a copy.
-    ids_.reserve(n_);
-    pure_accessor_.reserve(n_);
-    for (const auto& op : ops_) {
-      const adt::OpId id = type.op_id(op.op);
-      ids_.push_back(id);
-      pure_accessor_.push_back(type.category(id) == adt::OpCategory::kPureAccessor);
-    }
-    placed_.assign(placed_word_count(n_), 0);
-    initial_ = type.initial_state();
-  }
-
-  CheckResult run() {
-    CheckResult result;
-    result.linearizable = dfs(*initial_, 0);
-    result.witness = witness_;
-    result.nodes_expanded = nodes_.value();
-    result.memo_hits = memo_.hits();
-    result.memo_collisions = memo_.collisions();
-    return result;
-  }
-
- private:
-  bool dfs(adt::ObjectState& state, std::size_t placed_count) {
-    if (placed_count == n_) return true;
-    nodes_.bump();
-
-    adt::Fingerprint fp;
-    if (options_.memoize) {
-      fp = state.fingerprint();
-      if (memo_.known_dead(placed_, fp, state)) return false;
-    }
-
-    for (std::size_t i = 0; i < n_; ++i) {
-      if (test_bit(placed_, i) || !prec_.ready(i)) continue;
-
-      // A pure accessor leaves the state unchanged, so it probes (and
-      // recurses) on the live state; everything else probes a scratch copy.
-      adt::ObjectState& probe =
-          pure_accessor_[i] ? state : scratch_.copy_at(placed_count, state);
-      if (probe.apply(ids_[i], ops_[i].arg) != ops_[i].ret) continue;
-
-      set_bit(placed_, i);
-      prec_.place(i);
-      witness_.push_back(i);
-
-      if (dfs(probe, placed_count + 1)) return true;
-
-      witness_.pop_back();
-      prec_.unplace(i);
-      clear_bit(placed_, i);
-    }
-
-    if (options_.memoize) memo_.mark_dead(placed_, fp, state);
-    return false;
-  }
-
-  const std::vector<sim::OpRecord>& ops_;
-  std::size_t n_;
-  std::vector<adt::OpId> ids_;
-  std::vector<char> pure_accessor_;  ///< per record: declared kPureAccessor
-  PrecedenceMatrix prec_;
-  std::vector<std::uint64_t> placed_;
-  std::vector<std::size_t> witness_;
-  StateMemo memo_;
-  ScratchStates scratch_;
-  NodeCounter nodes_;
-  std::unique_ptr<adt::ObjectState> initial_;
-  CheckOptions options_;
-};
-
-}  // namespace
-
-CheckResult search_permutation(const adt::DataType& type, const std::vector<sim::OpRecord>& ops,
-                               const std::function<bool(std::size_t, std::size_t)>& precedes,
-                               const CheckOptions& options) {
-  for (const auto& op : ops) {
-    if (!op.complete()) {
-      throw std::invalid_argument("permutation search: incomplete instance " + op.op);
-    }
-  }
-  return Search(type, ops, precedes, options).run();
-}
-
-}  // namespace detail
 
 std::string CheckResult::witness_to_string(const std::vector<sim::OpRecord>& ops) const {
   std::ostringstream os;
@@ -117,10 +18,11 @@ std::string CheckResult::witness_to_string(const std::vector<sim::OpRecord>& ops
 CheckResult check_linearizability(const adt::DataType& type,
                                   const std::vector<sim::OpRecord>& ops,
                                   const CheckOptions& options) {
-  return detail::search_permutation(
-      type, ops,
-      [&ops](std::size_t i, std::size_t j) { return detail::realtime_precedes(ops[i], ops[j]); },
-      options);
+  detail::require_complete(ops);
+  auto state = type.initial_state();
+  return detail::Search(detail::realtime_order(ops), detail::ApplyStep(type, ops),
+                        options.memoize)
+      .run(*state);
 }
 
 CheckResult check_linearizability(const adt::DataType& type, const sim::RunRecord& record) {

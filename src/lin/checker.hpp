@@ -6,12 +6,17 @@
 // the real-time order of non-overlapping instances.
 //
 // The search is Wing-Gong style DFS over "minimal" candidates (operations
-// none of whose strict predecessors are still unplaced), memoized on
-// (placed-set, canonical object state): two search nodes with the same
-// placed set and equivalent state have identical sub-futures, so each pair
-// is explored once.  For the deterministic types in this library the state
-// canonical form is small, making the checker fast enough for the
-// property-test workloads (dozens of concurrent operations).
+// none of whose strict predecessors are still unplaced).  It probes each
+// candidate on one live object state and undoes the probe on backtrack from
+// a trail (ObjectState::apply_trailed / undo), so a probe copies nothing for
+// the queue, stack and register.  Dead nodes are memoized on (placed set,
+// 128-bit state fingerprint): two search nodes with the same placed set and
+// equivalent state have identical sub-futures, so each pair is explored
+// once.  The memo keeps a clone of the first dead state per key and
+// compares canonical() forms only when a key matches, so a fingerprint
+// collision costs re-exploration, never a wrong verdict.  The same search
+// (lin/search_detail.hpp) serves the sequential-consistency and
+// non-deterministic checkers.
 
 #include <string>
 #include <vector>

@@ -1,94 +1,41 @@
 #include "lin/nondet_checker.hpp"
 
-#include <stdexcept>
-
 #include "lin/search_detail.hpp"
 
 namespace lintime::lin {
 
 namespace {
 
-using detail::clear_bit;
-using detail::set_bit;
-using detail::test_bit;
-
-/// Same memoized Wing-Gong DFS as the deterministic search, built on the
-/// shared PrecedenceMatrix / StateMemo machinery, except that placing an
-/// instance branches over every outcome whose return value matches the
-/// record.  Outcomes come back as fresh states, so there is no scratch-state
-/// reuse here.
-class NondetSearch {
+/// Outcome step for non-deterministic types: every outcome of a candidate
+/// whose return matches the record is a branch.  outcomes() hands back fresh
+/// successor states, so there is nothing to undo.
+class OutcomeStep {
  public:
-  NondetSearch(const adt::NondetDataType& type, const std::vector<sim::OpRecord>& ops)
-      : type_(type),
-        ops_(ops),
-        n_(ops.size()),
-        prec_(n_, [&ops](std::size_t i, std::size_t j) {
-          return detail::realtime_precedes(ops[i], ops[j]);
-        }) {
-    placed_.assign(detail::placed_word_count(n_), 0);
-  }
+  OutcomeStep(const adt::NondetDataType& type, const std::vector<sim::OpRecord>& ops)
+      : type_(&type), ops_(&ops) {}
 
-  CheckResult run() {
-    CheckResult result;
-    auto state = type_.make_initial_state();
-    result.linearizable = dfs(*state, 0);
-    result.witness = witness_;
-    result.nodes_expanded = nodes_.value();
-    return result;
-  }
-
- private:
-  bool dfs(adt::ObjectState& state, std::size_t placed_count) {
-    if (placed_count == n_) return true;
-    nodes_.bump();
-
-    const adt::Fingerprint fp = state.fingerprint();
-    if (memo_.known_dead(placed_, fp, state)) return false;
-
-    for (std::size_t i = 0; i < n_; ++i) {
-      if (test_bit(placed_, i) || !prec_.ready(i)) continue;
-
-      // Branch over every outcome whose return value matches the record.
-      for (auto& outcome : type_.outcomes(state, ops_[i].op, ops_[i].arg)) {
-        if (outcome.ret != ops_[i].ret) continue;
-
-        set_bit(placed_, i);
-        prec_.place(i);
-        witness_.push_back(i);
-
-        if (dfs(*outcome.state, placed_count + 1)) return true;
-
-        witness_.pop_back();
-        prec_.unplace(i);
-        clear_bit(placed_, i);
-      }
+  template <typename Visit>
+  bool expand(adt::ObjectState& state, std::size_t i, Visit&& visit) {
+    const sim::OpRecord& op = (*ops_)[i];
+    for (auto& outcome : type_->outcomes(state, op.op, op.arg)) {
+      if (outcome.ret == op.ret && visit(*outcome.state)) return true;
     }
-
-    memo_.mark_dead(placed_, fp, state);
     return false;
   }
 
-  const adt::NondetDataType& type_;
-  const std::vector<sim::OpRecord>& ops_;
-  std::size_t n_;
-  detail::PrecedenceMatrix prec_;
-  std::vector<std::uint64_t> placed_;
-  std::vector<std::size_t> witness_;
-  detail::StateMemo memo_;
-  detail::NodeCounter nodes_;
+ private:
+  const adt::NondetDataType* type_;
+  const std::vector<sim::OpRecord>* ops_;
 };
 
 }  // namespace
 
 CheckResult check_linearizability_nondet(const adt::NondetDataType& type,
                                          const std::vector<sim::OpRecord>& ops) {
-  for (const auto& op : ops) {
-    if (!op.complete()) {
-      throw std::invalid_argument("nondet checker: incomplete instance " + op.op);
-    }
-  }
-  return NondetSearch(type, ops).run();
+  detail::require_complete(ops);
+  auto state = type.make_initial_state();
+  return detail::Search(detail::realtime_order(ops), OutcomeStep(type, ops), /*memoize=*/true)
+      .run(*state);
 }
 
 CheckResult check_linearizability_nondet(const adt::NondetDataType& type,

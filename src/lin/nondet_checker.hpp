@@ -1,9 +1,11 @@
 #pragma once
 // Linearizability checker for NON-DETERMINISTIC data types (the relaxation
 // the paper's Section 6.2 proposes).  The search is the same memoized
-// Wing-Gong DFS, except that placing an instance branches over every legal
-// outcome whose return value matches the recorded one -- the witness is then
-// a permutation PLUS a resolution of each non-deterministic choice.
+// Wing-Gong DFS as the deterministic checker's, except that placing an
+// instance branches over every legal outcome whose return value matches the
+// recorded one.  The result has the same shape: the witness is the
+// permutation only.  The resolution of each non-deterministic choice is not
+// returned; replaying the witness against outcomes() recovers one.
 
 #include <vector>
 

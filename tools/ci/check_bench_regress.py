@@ -1,18 +1,23 @@
 #!/usr/bin/env python3
-"""Fail-soft serving-throughput regression check for the CI bench smoke.
+"""Fail-soft throughput regression check for the CI bench smoke.
 
-Compares the fresh BM_ServingThroughput_Ring/100000 ops_per_sec from a
-google-benchmark JSON file against the committed baseline and prints a
-GitHub `::warning::` annotation when throughput dropped by more than the
-threshold (default 20%).  ALWAYS exits 0: CI runners are shared and noisy,
-so a slow run must never block a merge -- the annotation puts the number in
-front of a human instead.
+Every entry of the committed baseline names a google-benchmark run and one or
+more rate counters (higher is better), for example
+
+    "BM_ServingThroughput_Ring/100000": {"ops_per_sec": 422303.0},
+    "BM_CheckerThroughput_Queue": {"nodes_per_sec": 4.1e6}
+
+For each of them the fresh value is looked up in the google-benchmark JSON
+files given with --fresh, and a GitHub `::warning::` annotation is printed
+when it dropped by more than the threshold (default 20%).  ALWAYS exits 0:
+CI runners are shared and noisy, so a slow run must never block a merge --
+the annotation puts the number in front of a human instead.
 
 Stdlib-only on purpose: CI (and anyone locally) can run it with a bare
 python3.
 
     python3 tools/ci/check_bench_regress.py \
-        --fresh BENCH_serving_smoke.json \
+        --fresh BENCH_serving_smoke.json --fresh BENCH_checker.json \
         --baseline tools/ci/bench_baseline.json
 """
 
@@ -20,75 +25,71 @@ import argparse
 import json
 import sys
 
-BENCH_NAME = "BM_ServingThroughput_Ring/100000"
-
 
 def warn(message: str) -> None:
     # `::warning::` renders as an annotation on the workflow run.
     print(f"::warning::check_bench_regress: {message}")
 
 
-def fresh_ops_per_sec(path: str) -> float | None:
-    """ops_per_sec of the smoke benchmark from google-benchmark JSON output.
+def load_json(path: str, what: str) -> dict | None:
+    try:
+        with open(path, encoding="utf-8") as f:
+            return json.load(f)
+    except (OSError, json.JSONDecodeError) as err:
+        warn(f"cannot read {what} {path}: {err}")
+        return None
 
-    Returns None (after printing a warning) on any shape surprise: a missing
-    artifact must surface as an annotation, not a hard failure.
+
+def fresh_rows(paths: list[str]) -> dict[str, dict]:
+    """The first row per benchmark name across the fresh JSON files.
+
+    Aggregate rows (mean/median/stddev) carry the same counters; the plain
+    repetition row is the first match and what we compare.
     """
-    try:
-        with open(path, encoding="utf-8") as f:
-            doc = json.load(f)
-    except (OSError, json.JSONDecodeError) as err:
-        warn(f"cannot read fresh benchmark JSON {path}: {err}")
-        return None
-    for bench in doc.get("benchmarks", []):
-        # Aggregate rows (mean/median/stddev) carry the same counters; the
-        # plain repetition row is the first match and what we compare.
-        if bench.get("name") == BENCH_NAME and "ops_per_sec" in bench:
-            return float(bench["ops_per_sec"])
-    warn(f"{path} has no '{BENCH_NAME}' entry with an ops_per_sec counter")
-    return None
-
-
-def baseline_ops_per_sec(path: str) -> float | None:
-    try:
-        with open(path, encoding="utf-8") as f:
-            doc = json.load(f)
-    except (OSError, json.JSONDecodeError) as err:
-        warn(f"cannot read baseline {path}: {err}")
-        return None
-    entry = doc.get(BENCH_NAME)
-    if not isinstance(entry, dict) or "ops_per_sec" not in entry:
-        warn(f"baseline {path} has no ops_per_sec for '{BENCH_NAME}'")
-        return None
-    return float(entry["ops_per_sec"])
+    rows: dict[str, dict] = {}
+    for path in paths:
+        doc = load_json(path, "fresh benchmark JSON")
+        for bench in (doc or {}).get("benchmarks", []):
+            rows.setdefault(bench.get("name"), bench)
+    return rows
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--fresh", required=True, help="google-benchmark JSON from this run")
+    parser.add_argument("--fresh", required=True, action="append",
+                        help="google-benchmark JSON from this run (repeatable)")
     parser.add_argument("--baseline", required=True, help="committed baseline JSON")
     parser.add_argument(
         "--threshold",
         type=float,
         default=0.20,
-        help="warn when fresh ops/s falls more than this fraction below baseline",
+        help="warn when a fresh rate falls more than this fraction below baseline",
     )
     args = parser.parse_args()
 
-    fresh = fresh_ops_per_sec(args.fresh)
-    base = baseline_ops_per_sec(args.baseline)
-    if fresh is None or base is None or base <= 0:
+    baseline = load_json(args.baseline, "baseline")
+    if baseline is None:
         sys.exit(0)  # fail-soft: the warning above is the whole report
+    rows = fresh_rows(args.fresh)
 
-    ratio = fresh / base
-    line = (
-        f"{BENCH_NAME}: fresh {fresh:,.0f} ops/s vs baseline {base:,.0f} ops/s "
-        f"({ratio:.2f}x)"
-    )
-    if ratio < 1.0 - args.threshold:
-        warn(f"serving throughput regressed >{args.threshold:.0%}: {line}")
-    else:
-        print(f"check_bench_regress: OK — {line}")
+    for name, counters in baseline.items():
+        if name.startswith("_") or not isinstance(counters, dict):
+            continue  # notes
+        for counter, base in counters.items():
+            row = rows.get(name)
+            if row is None or counter not in row:
+                warn(f"fresh results have no '{name}' entry with a {counter} counter")
+                continue
+            if base <= 0:
+                warn(f"baseline {counter} for '{name}' is not positive")
+                continue
+            fresh = float(row[counter])
+            ratio = fresh / base
+            line = f"{name} {counter}: fresh {fresh:,.0f}/s vs baseline {base:,.0f}/s ({ratio:.2f}x)"
+            if ratio < 1.0 - args.threshold:
+                warn(f"throughput regressed >{args.threshold:.0%}: {line}")
+            else:
+                print(f"check_bench_regress: OK — {line}")
     sys.exit(0)
 
 
