@@ -1,6 +1,7 @@
 #include "core/algorithm_one.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 namespace lintime::core {
 
@@ -31,7 +32,11 @@ constexpr std::uint32_t kAnnounceTag = 0;
 }  // namespace
 
 AlgorithmOneProcess::AlgorithmOneProcess(const adt::DataType& type, TimingPolicy timing)
-    : type_(type), timing_(timing), state_(type.initial_state()) {}
+    : AlgorithmOneProcess(type, timing, type.initial_state()) {}
+
+AlgorithmOneProcess::AlgorithmOneProcess(const adt::DataType& type, TimingPolicy timing,
+                                         std::unique_ptr<adt::ObjectState> state)
+    : type_(type), timing_(timing), state_(std::move(state)) {}
 
 void AlgorithmOneProcess::on_invoke(sim::Context& ctx, const std::string& op, const Value& arg) {
   // Resolve the name once at the invoker; the interned id then flows through

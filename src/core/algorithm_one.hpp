@@ -47,6 +47,11 @@ class AlgorithmOneProcess final : public sim::Process {
   /// TimingPolicy::standard(params, X); the lower-bound experiments pass
   /// shortened timers.
   AlgorithmOneProcess(const adt::DataType& type, TimingPolicy timing);
+  /// As above, with `state` (a state of `type`, normally its initial one)
+  /// as the replica; the sharded serving layer passes column views of a
+  /// shared row directory.
+  AlgorithmOneProcess(const adt::DataType& type, TimingPolicy timing,
+                      std::unique_ptr<adt::ObjectState> state);
 
   void on_invoke(sim::Context& ctx, const std::string& op, const adt::Value& arg) override;
   void on_invoke_id(sim::Context& ctx, adt::OpId id, const std::string& op,

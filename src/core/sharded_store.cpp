@@ -14,97 +14,73 @@ namespace lintime::core {
 
 namespace {
 
-/// Slab owner for materialized component states.  A million-key serving run
-/// materializes ~10^6 states; one unique_ptr each means a million
-/// malloc/free pairs (the free half lands in the timed region at teardown),
-/// which profiled as the largest remaining libc cost after the payload
-/// refactor.  States that publish their footprint (self_size() > 0, i.e.
-/// anything deriving StateBase) are placement-copied into 64 KiB bump slabs
-/// instead; string-only custom states fall back to one heap block each.
-/// Bump order follows materialization order, so layout -- like everything
-/// else here -- is deterministic, and nothing ever reads it anyway.
+/// Bump allocator for the rows of one directory.  A million-key serving run
+/// materializes ~10^6 states per replica; one unique_ptr each means a
+/// million malloc/free pairs (the free half lands in the timed region at
+/// teardown), which profiled as the largest remaining libc cost after the
+/// payload refactor.  Rows are carved from 64 KiB slabs instead; the
+/// directory destroys the states it placed.  Bump order follows row order,
+/// so layout -- like everything else here -- is deterministic, and nothing
+/// ever reads it anyway.
 class StateArena {
  public:
-  StateArena() = default;
-  StateArena(const StateArena&) = delete;
-  StateArena& operator=(const StateArena&) = delete;
-
-  ~StateArena() {
-    for (adt::ObjectState* s : placed_) s->~ObjectState();
-  }
-
-  /// Returns a copy of `tmpl` owned by this arena.
-  adt::ObjectState* add(const adt::ObjectState& tmpl) {
-    const std::size_t size = tmpl.self_size();
-    if (size == 0) {
-      owned_.push_back(tmpl.clone());
-      return owned_.back().get();
-    }
-    const std::size_t align = tmpl.self_align();
-    auto at = (cursor_ + (align - 1)) & ~static_cast<std::uintptr_t>(align - 1);
-    if (at + size > limit_) {
-      const std::size_t slab = std::max<std::size_t>(kSlabBytes, size + align);
+  /// `bytes` of uninitialized storage aligned to `align` (a power of two).
+  [[nodiscard]] std::byte* allocate(std::size_t bytes, std::size_t align) {
+    auto at = round_up(cursor_, align);
+    if (at + bytes > limit_) {
+      const std::size_t slab = std::max<std::size_t>(kSlabBytes, bytes + align);
       slabs_.push_back(std::make_unique<std::byte[]>(slab));
       cursor_ = reinterpret_cast<std::uintptr_t>(slabs_.back().get());
       limit_ = cursor_ + slab;
-      at = (cursor_ + (align - 1)) & ~static_cast<std::uintptr_t>(align - 1);
+      at = round_up(cursor_, align);
     }
-    cursor_ = at + size;
-    adt::ObjectState* s = tmpl.clone_into(reinterpret_cast<void*>(at));
-    placed_.push_back(s);
-    return s;
+    cursor_ = at + bytes;
+    return reinterpret_cast<std::byte*>(at);
+  }
+
+  [[nodiscard]] static std::uintptr_t round_up(std::uintptr_t at, std::size_t align) {
+    return (at + (align - 1)) & ~static_cast<std::uintptr_t>(align - 1);
   }
 
  private:
   static constexpr std::size_t kSlabBytes = 64 * 1024;
 
   std::vector<std::unique_ptr<std::byte[]>> slabs_;
-  std::vector<adt::ObjectState*> placed_;  ///< in-slab states needing dtors
-  std::vector<std::unique_ptr<adt::ObjectState>> owned_;  ///< fallback path
-  std::uintptr_t cursor_ = 1;  ///< 1 > limit_: first add allocates a slab
+  std::uintptr_t cursor_ = 1;  ///< 1 > limit_: first allocate() takes a slab
   std::uintptr_t limit_ = 0;
 };
 
-/// Open-addressed key -> component-state table (linear probing, Fibonacci
-/// hash, power-of-two capacity, no deletion).  A serving replica does one
-/// lookup per executed mutator at keyspace scale, so the probe sequence --
-/// one cache line in the common case -- is the hot path; std::map's tree
-/// walk and std::unordered_map's prime-modulo chaining both measured as the
-/// top cost of the serving benchmark.  The table is never iterated: callers
-/// track the key set separately, so no output depends on slot layout.
+/// Open-addressed key -> row table (linear probing, Fibonacci hash,
+/// power-of-two capacity, at most 3/4 full, no deletion).  A serving replica
+/// does one lookup per executed mutator at keyspace scale, so the probe
+/// sequence -- one cache line in the common case -- is the hot path;
+/// std::map's tree walk and std::unordered_map's prime-modulo chaining both
+/// measured as the top cost of the serving benchmark.  The table grows with
+/// its population and is never iterated, so no output depends on slot
+/// layout.
 class KeyStateTable {
  public:
-  [[nodiscard]] std::size_t size() const { return size_; }
-
-  [[nodiscard]] adt::ObjectState* find(std::int64_t key) const {
+  /// The row of `key`, or nullptr.
+  [[nodiscard]] adt::ObjectState** find(std::int64_t key) const {
     if (slots_.empty()) return nullptr;
     for (std::size_t i = probe_start(key);; i = (i + 1) & mask_) {
       const Slot& s = slots_[i];
-      if (s.state == nullptr) return nullptr;
-      if (s.key == key) return s.state;
+      if (s.row == nullptr) return nullptr;
+      if (s.key == key) return s.row;
     }
   }
 
   /// Inserts a NEW key (the caller has already checked find() == nullptr).
-  /// `state` is a borrowed pointer; the caller's StateArena owns it.
-  adt::ObjectState& insert(std::int64_t key, adt::ObjectState* state,
-                           std::size_t expected_total) {
-    if (size_ * 2 >= slots_.size()) grow(expected_total);
-    for (std::size_t i = probe_start(key);; i = (i + 1) & mask_) {
-      Slot& s = slots_[i];
-      if (s.state == nullptr) {
-        s.key = key;
-        s.state = state;
-        ++size_;
-        return *s.state;
-      }
-    }
+  void insert(std::int64_t key, adt::ObjectState** row) {
+    if (4 * (size_ + 1) > 3 * slots_.size()) grow();
+    ++size_;
+    place(Slot{key, row});
   }
 
  private:
   struct Slot {
     std::int64_t key = 0;
-    adt::ObjectState* state = nullptr;  ///< borrowed from the arena; null == empty
+    adt::ObjectState** row = nullptr;  ///< null == empty
   };
 
   [[nodiscard]] std::size_t probe_start(std::int64_t key) const {
@@ -112,29 +88,20 @@ class KeyStateTable {
                                     shift_);
   }
 
-  void grow(std::size_t expected_total) {
-    std::size_t cap = 16;
-    while (cap < 2 * (size_ + 1)) cap *= 2;
-    // First growth jumps straight to the expected population (a serving
-    // replica tends to materialize its whole shard of the keyspace), capped
-    // so a barely-touched instance of a huge store stays cheap.
-    if (slots_.empty()) {
-      const std::size_t hint = std::min<std::size_t>(expected_total, std::size_t{1} << 16);
-      while (cap < 2 * hint) cap *= 2;
-    }
-    std::vector<Slot> old;
+  void place(const Slot& slot) {
+    std::size_t i = probe_start(slot.key);
+    while (slots_[i].row != nullptr) i = (i + 1) & mask_;
+    slots_[i] = slot;
+  }
+
+  void grow() {
+    const std::size_t cap = slots_.empty() ? 16 : 2 * slots_.size();
+    std::vector<Slot> old(cap);
     old.swap(slots_);
-    slots_.resize(cap);
     mask_ = cap - 1;
     shift_ = 64 - static_cast<unsigned>(std::countr_zero(cap));
-    for (Slot& s : old) {
-      if (s.state == nullptr) continue;
-      for (std::size_t i = probe_start(s.key);; i = (i + 1) & mask_) {
-        if (slots_[i].state == nullptr) {
-          slots_[i] = std::move(s);
-          break;
-        }
-      }
+    for (const Slot& s : old) {
+      if (s.row != nullptr) place(s);
     }
   }
 
@@ -144,57 +111,144 @@ class KeyStateTable {
   std::size_t size_ = 0;
 };
 
-/// The store's sequential state: component states materialized per key on
-/// first touch.  A key whose state is behaviourally the component's initial
-/// state is OMITTED from canonical() and fingerprint_into(), so canonical
-/// equality remains exactly behavioural equivalence regardless of which
-/// keys happen to have been touched (e.g. read but never written).
+}  // namespace
+
+/// One shard's key -> row directory: a row is `columns` component states of
+/// one key, one per replica, created together.  A row block in the arena is
+/// the array of the states' addresses followed by the states themselves, so
+/// the replicas executing one mutator touch one slot and a few adjacent
+/// cache lines.  Row order (creation order) is the only order anything
+/// iterates in.
+class KeyRows {
+ public:
+  struct Row {
+    std::int64_t key;
+    adt::ObjectState** states;  ///< `columns` entries
+  };
+
+  KeyRows(const ShardedStore& owner, int columns) : owner_(owner), columns_(columns) {}
+  KeyRows(const KeyRows&) = delete;
+  KeyRows& operator=(const KeyRows&) = delete;
+
+  ~KeyRows() {
+    for (const Row& row : rows_) {
+      for (int c = 0; c < columns_; ++c) {
+        adt::ObjectState* s = row.states[c];
+        if (s->self_size() == 0) {
+          delete s;  // heap fallback (see add)
+        } else {
+          s->~ObjectState();
+        }
+      }
+    }
+  }
+
+  [[nodiscard]] const ShardedStore& owner() const { return owner_; }
+  [[nodiscard]] const std::vector<Row>& rows() const { return rows_; }
+
+  /// The row of `key`, or nullptr.
+  [[nodiscard]] adt::ObjectState** find(std::int64_t key) const { return table_.find(key); }
+
+  /// Creates the row of a NEW key with every column a copy of `tmpl`.
+  /// States that publish their footprint (self_size() > 0, i.e. anything
+  /// deriving StateBase) are placement-copied into the row block; string-only
+  /// custom states fall back to one heap block each.
+  adt::ObjectState** add(std::int64_t key, const adt::ObjectState& tmpl) {
+    const auto columns = static_cast<std::size_t>(columns_);
+    const std::size_t size = tmpl.self_size();
+    const std::size_t align = std::max(tmpl.self_align(), alignof(adt::ObjectState*));
+    const std::size_t head = StateArena::round_up(columns * sizeof(adt::ObjectState*), align);
+    const std::size_t stride = StateArena::round_up(size, align);
+    std::byte* block = arena_.allocate(head + columns * stride, align);
+    auto** states = reinterpret_cast<adt::ObjectState**>(block);
+    for (std::size_t c = 0; c < columns; ++c) {
+      states[c] = size == 0 ? tmpl.clone().release() : tmpl.clone_into(block + head + c * stride);
+    }
+    rows_.push_back(Row{key, states});
+    table_.insert(key, states);
+    return states;
+  }
+
+  /// add(key, initial state).
+  adt::ObjectState** add(std::int64_t key) { return add(key, initial()); }
+
+  /// The component's initial state: the template of new rows, and what
+  /// pure accessors on keys without a row read.  Safe to share because pure
+  /// accessors never mutate.
+  [[nodiscard]] adt::ObjectState& initial() {
+    if (!initial_) initial_ = owner_.component().initial_state();
+    return *initial_;
+  }
+
+ private:
+  const ShardedStore& owner_;
+  int columns_;
+  StateArena arena_;  ///< holds every row block
+  KeyStateTable table_;
+  std::vector<Row> rows_;  ///< creation order
+  std::unique_ptr<adt::ObjectState> initial_;
+};
+
+namespace {
+
+/// The store's sequential state: one column of a KeyRows directory.  A
+/// standalone state (make_initial_state(), clone()) owns a one-column
+/// directory; a serving replica is a view of its process's column of a
+/// shared one.  A key whose state is behaviourally the component's initial
+/// state -- no row, or a row its column has not changed -- is OMITTED from
+/// canonical() and fingerprint_into(), so canonical equality remains exactly
+/// behavioural equivalence regardless of which keys happen to have rows.
 ///
-/// Lookup is the open-addressed table above, but NOTHING iterates it:
-/// canonical(), fingerprint_into() and the copy constructor walk `touched_`
-/// (sorted or in insertion order) and do point lookups, so every output is
-/// independent of slot layout.  Pure accessors on untouched keys are served
-/// from one shared pristine component state and never materialize the key --
-/// at keyspace scale that halves allocations on a mixed workload.
+/// canonical() and fingerprint_into() sort the directory's keys, so every
+/// output is independent of slot layout and row order.  Pure accessors on
+/// keys without a row are served from the directory's initial state and
+/// never create the row -- at keyspace scale that halves allocations on a
+/// mixed workload.
 class KeyedState final : public adt::ObjectState {
  public:
-  explicit KeyedState(const ShardedStore& owner) : owner_(&owner) {}
+  explicit KeyedState(const ShardedStore& owner)
+      : own_(std::make_unique<KeyRows>(owner, 1)), rows_(own_.get()) {}
 
+  /// Column `column` of `rows`, which must outlive the view.
+  KeyedState(KeyRows& rows, int column) : rows_(&rows), column_(column) {}
+
+  /// A standalone copy of `other`'s column.
   KeyedState(const KeyedState& other)
-      : adt::ObjectState(other), owner_(other.owner_), touched_(other.touched_) {
-    for (const std::int64_t key : touched_) {
-      states_.insert(key, arena_.add(*other.states_.find(key)), expected_keys());
+      : adt::ObjectState(other), own_(std::make_unique<KeyRows>(other.owner(), 1)),
+        rows_(own_.get()) {
+    for (const KeyRows::Row& row : other.rows_->rows()) {
+      rows_->add(row.key, *row.states[other.column_]);
     }
   }
 
   adt::Value apply(const std::string& op, const adt::Value& arg) override {
-    return apply(owner_->op_id(op), arg);
+    return apply(owner().op_id(op), arg);
   }
 
   adt::Value apply(adt::OpId id, const adt::Value& arg) override {
-    const auto ka = owner_->split(arg);
-    if (adt::ObjectState* state = states_.find(ka.key)) {
-      return state->apply(ShardedStore::component_op(id), *ka.inner);
+    const auto ka = owner().split(arg);
+    if (adt::ObjectState** row = rows_->find(ka.key)) {
+      return row[column_]->apply(ShardedStore::component_op(id), *ka.inner);
     }
-    if (owner_->pure_accessor(id)) {
-      return pristine().apply(ShardedStore::component_op(id), *ka.inner);
+    if (owner().pure_accessor(id)) {
+      return rows_->initial().apply(ShardedStore::component_op(id), *ka.inner);
     }
-    return materialize(ka.key).apply(ShardedStore::component_op(id), *ka.inner);
+    return rows_->add(ka.key)[column_]->apply(ShardedStore::component_op(id), *ka.inner);
   }
 
   // Undo forwards to the key's component state.  A key first touched by a
-  // trailed apply stays materialized after its undo; its state is then the
+  // trailed apply keeps its row after the undo; its state is then the
   // initial one, which canonical() and fingerprint_into() omit.
   adt::Value apply_trailed(adt::OpId id, const adt::Value& arg, adt::Trail& trail) override {
-    const auto ka = owner_->split(arg);
-    adt::ObjectState* state = states_.find(ka.key);
-    if (state == nullptr) state = &materialize(ka.key);
-    adt::Value ret = state->apply_trailed(ShardedStore::component_op(id), *ka.inner, trail);
+    const auto ka = owner().split(arg);
+    adt::ObjectState** row = rows_->find(ka.key);
+    if (row == nullptr) row = rows_->add(ka.key);
+    adt::Value ret = row[column_]->apply_trailed(ShardedStore::component_op(id), *ka.inner, trail);
     trail.push(ka.key);
     return ret;
   }
 
-  void undo(adt::Trail& trail) override { states_.find(trail.pop())->undo(trail); }
+  void undo(adt::Trail& trail) override { rows_->find(trail.pop())[column_]->undo(trail); }
 
   [[nodiscard]] std::unique_ptr<adt::ObjectState> clone() const override {
     return std::make_unique<KeyedState>(*this);
@@ -202,64 +256,38 @@ class KeyedState final : public adt::ObjectState {
 
   [[nodiscard]] std::string canonical() const override {
     std::ostringstream os;
-    for (const std::int64_t key : sorted_keys()) {
-      const std::string c = states_.find(key)->canonical();
-      if (c == owner_->initial_canonical()) continue;
-      os << key << '{' << c << '}';
-    }
+    for (const auto& [key, state] : live()) os << key << '{' << state->canonical() << '}';
     return os.str();
   }
 
   void fingerprint_into(adt::FpHasher& h) const override {
     h.mix(13);  // sharded-store tag, distinct from every component tag
-    std::vector<std::pair<std::int64_t, const adt::ObjectState*>> live;
-    live.reserve(states_.size());
-    for (const std::int64_t key : sorted_keys()) {
-      const adt::ObjectState* state = states_.find(key);
-      if (state->canonical() == owner_->initial_canonical()) continue;
-      live.emplace_back(key, state);
-    }
-    h.mix(live.size());
-    for (const auto& [key, state] : live) {
+    const auto states = live();
+    h.mix(states.size());
+    for (const auto& [key, state] : states) {
       h.mix(static_cast<std::uint64_t>(key));
       state->fingerprint_into(h);
     }
   }
 
  private:
-  [[nodiscard]] std::size_t expected_keys() const {
-    return static_cast<std::size_t>(owner_->num_keys() / owner_->num_shards());
+  [[nodiscard]] const ShardedStore& owner() const { return rows_->owner(); }
+
+  /// This column's non-initial states, by ascending key.
+  [[nodiscard]] std::vector<std::pair<std::int64_t, const adt::ObjectState*>> live() const {
+    std::vector<std::pair<std::int64_t, const adt::ObjectState*>> out;
+    for (const KeyRows::Row& row : rows_->rows()) {
+      const adt::ObjectState* state = row.states[column_];
+      if (state->canonical() != owner().initial_canonical()) out.emplace_back(row.key, state);
+    }
+    std::sort(out.begin(), out.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    return out;
   }
 
-  [[nodiscard]] adt::ObjectState& materialize(std::int64_t key) {
-    touched_.push_back(key);
-    // Copy the (bound) initial template into the arena rather than asking
-    // the component for a fresh heap state per key; clone_into preserves the
-    // bound op table, so the copy behaves exactly like initial_state().
-    if (!initial_) initial_ = owner_->component().initial_state();
-    return states_.insert(key, arena_.add(*initial_), expected_keys());
-  }
-
-  /// Shared initial component state for accessor reads of untouched keys.
-  /// Safe to share because pure accessors never mutate.  Deliberately not
-  /// copied by the copy constructor (clones recreate it on demand).
-  [[nodiscard]] adt::ObjectState& pristine() {
-    if (!pristine_) pristine_ = owner_->component().initial_state();
-    return *pristine_;
-  }
-
-  [[nodiscard]] std::vector<std::int64_t> sorted_keys() const {
-    std::vector<std::int64_t> keys = touched_;
-    std::sort(keys.begin(), keys.end());
-    return keys;
-  }
-
-  const ShardedStore* owner_;
-  std::vector<std::int64_t> touched_;  ///< materialized keys, insertion order
-  StateArena arena_;                   ///< owns every state in states_
-  KeyStateTable states_;
-  std::unique_ptr<adt::ObjectState> pristine_;
-  std::unique_ptr<adt::ObjectState> initial_;  ///< clone template for materialize
+  std::unique_ptr<KeyRows> own_;  ///< set for a standalone state
+  KeyRows* rows_;
+  int column_ = 0;
 };
 
 }  // namespace
@@ -334,6 +362,28 @@ ShardedStore::KeyedArg ShardedStore::split(const adt::Value& arg) const {
 }
 
 // ---------------------------------------------------------------------------
+// ShardedReplicas
+// ---------------------------------------------------------------------------
+
+ShardedReplicas::ShardedReplicas(const ShardedStore& store, int columns) : columns_(columns) {
+  if (columns_ < 1) throw std::invalid_argument("ShardedReplicas: columns must be >= 1");
+  shards_.reserve(static_cast<std::size_t>(store.num_shards()));
+  for (int s = 0; s < store.num_shards(); ++s) {
+    shards_.push_back(std::make_unique<KeyRows>(store, columns_));
+  }
+}
+
+ShardedReplicas::~ShardedReplicas() = default;
+
+std::unique_ptr<adt::ObjectState> ShardedReplicas::replica(int shard, int column) {
+  if (column < 0 || column >= columns_) {
+    throw std::out_of_range("ShardedReplicas: column " + std::to_string(column) +
+                            " outside [0, " + std::to_string(columns_) + ")");
+  }
+  return std::make_unique<KeyedState>(*shards_.at(static_cast<std::size_t>(shard)), column);
+}
+
+// ---------------------------------------------------------------------------
 // ShardedServingProcess
 // ---------------------------------------------------------------------------
 
@@ -373,13 +423,26 @@ class ShardedServingProcess::ShardContext final : public sim::Context {
   int shard_;
 };
 
-ShardedServingProcess::ShardedServingProcess(const ShardedStore& store, const TimingPolicy& timing)
+ShardedServingProcess::ShardedServingProcess(const ShardedStore& store, const TimingPolicy& timing,
+                                             ShardedReplicas& replicas, int column)
     : store_(store) {
-  instances_.reserve(static_cast<std::size_t>(store.num_shards()));
-  for (int s = 0; s < store.num_shards(); ++s) {
+  add_instances(timing, replicas, column);
+}
+
+ShardedServingProcess::ShardedServingProcess(const ShardedStore& store, const TimingPolicy& timing)
+    : store_(store), own_(std::make_unique<ShardedReplicas>(store, 1)) {
+  add_instances(timing, *own_, 0);
+}
+
+void ShardedServingProcess::add_instances(const TimingPolicy& timing, ShardedReplicas& replicas,
+                                          int column) {
+  instances_.reserve(static_cast<std::size_t>(store_.num_shards()));
+  for (int s = 0; s < store_.num_shards(); ++s) {
     // Every shard instance runs against the store type itself: its replica
-    // is a KeyedState that materializes exactly the keys routed here.
-    instances_.push_back(std::make_unique<AlgorithmOneProcess>(store, timing));
+    // is its column of the shard's rows, which hold exactly the keys routed
+    // here.
+    instances_.push_back(
+        std::make_unique<AlgorithmOneProcess>(store_, timing, replicas.replica(s, column)));
   }
 }
 

@@ -49,8 +49,8 @@ class ShardedStore final : public adt::DataType {
   [[nodiscard]] std::int64_t num_keys() const { return num_keys_; }
   [[nodiscard]] int num_shards() const { return num_shards_; }
 
-  /// Deterministic key -> shard routing (multiplicative hash; identical on
-  /// every process and across runs).
+  /// Deterministic key -> shard routing: ((key * 0x9E3779B97F4A7C15) >> 33)
+  /// % num_shards, identical on every process and across runs.
   [[nodiscard]] static int shard_of(std::int64_t key, int num_shards);
   [[nodiscard]] int shard_of(std::int64_t key) const { return shard_of(key, num_shards_); }
 
@@ -77,8 +77,8 @@ class ShardedStore final : public adt::DataType {
 
   /// True iff the op (by interned index) is a pure accessor of the component.
   /// Pure accessors never mutate state (the category contract Algorithm 1
-  /// itself relies on), so a keyed state can serve them for untouched keys
-  /// from one shared pristine component state without materializing the key.
+  /// itself relies on), so a keyed state serves them for keys without a row
+  /// from one shared initial component state, without creating the row.
   [[nodiscard]] bool pure_accessor(adt::OpId id) const {
     return pure_accessor_[id.index()] != 0;
   }
@@ -92,6 +92,33 @@ class ShardedStore final : public adt::DataType {
   std::string initial_canonical_;
 };
 
+class KeyRows;  // sharded_store.cpp: one shard's key -> row directory
+
+/// The replica states of one serving run.  Algorithm 1 executes every
+/// mutator on all n replicas within u of each other, so each shard keeps ONE
+/// key -> row directory whose row holds the n processes' component states of
+/// that key side by side, allocated together on the key's first mutator.
+/// Process p's replica of a shard is a keyed state over column p: the n
+/// executions of one write find one table slot and one run of adjacent
+/// states.  A column its process has not yet applied to holds the initial
+/// state, which reads and canonical() treat exactly like an absent key.
+class ShardedReplicas {
+ public:
+  /// `store` must outlive the set; `columns` >= 1 (normally n).
+  ShardedReplicas(const ShardedStore& store, int columns);
+  ~ShardedReplicas();
+  ShardedReplicas(const ShardedReplicas&) = delete;
+  ShardedReplicas& operator=(const ShardedReplicas&) = delete;
+
+  /// Column `column`'s replica of `shard`: a view that must not outlive
+  /// the set.  Its clone() is a standalone state.
+  [[nodiscard]] std::unique_ptr<adt::ObjectState> replica(int shard, int column);
+
+ private:
+  int columns_;
+  std::vector<std::unique_ptr<KeyRows>> shards_;
+};
+
 /// One simulated process serving a ShardedStore: an independent Algorithm 1
 /// instance per shard, each running against the store type (its replica is a
 /// keyed state that materializes only the keys routed to that shard).
@@ -100,6 +127,11 @@ class ShardedStore final : public adt::DataType {
 /// interned dispatch end to end.
 class ShardedServingProcess final : public sim::Process {
  public:
+  /// Serves column `column` of `replicas`, which must outlive the process
+  /// (harness::execute passes the process id as the column).
+  ShardedServingProcess(const ShardedStore& store, const TimingPolicy& timing,
+                        ShardedReplicas& replicas, int column);
+  /// Owns its replica states (a one-column set).
   ShardedServingProcess(const ShardedStore& store, const TimingPolicy& timing);
 
   void on_invoke(sim::Context& ctx, const std::string& op, const adt::Value& arg) override;
@@ -123,7 +155,10 @@ class ShardedServingProcess final : public sim::Process {
  private:
   class ShardContext;
 
+  void add_instances(const TimingPolicy& timing, ShardedReplicas& replicas, int column);
+
   const ShardedStore& store_;
+  std::unique_ptr<ShardedReplicas> own_;  ///< set by the two-argument constructor
   std::vector<std::unique_ptr<AlgorithmOneProcess>> instances_;
 };
 

@@ -145,6 +145,19 @@ RunResult execute(const adt::DataType& type, const RunSpec& spec) {
   std::vector<core::ShardedServingProcess*> sharded_procs;
   std::vector<baseline::CentralizedProcess*> central_procs;
 
+  // Sharded serving keeps the n processes' replica states of each key in one
+  // row (core::ShardedReplicas); the set must outlive the world.
+  const core::ShardedStore* store = nullptr;
+  std::optional<core::ShardedReplicas> replicas;
+  if (spec.algo == AlgoKind::kShardedServing) {
+    store = dynamic_cast<const core::ShardedStore*>(&type);
+    if (store == nullptr) {
+      throw std::invalid_argument(
+          "RunSpec: AlgoKind::kShardedServing requires a ShardedStore data type");
+    }
+    replicas.emplace(*store, spec.params.n);
+  }
+
   // Lazily resolved so baselines never validate an Algorithm-1 X they do
   // not use.
   const auto timing = [&spec]() {
@@ -166,12 +179,7 @@ RunResult execute(const adt::DataType& type, const RunSpec& spec) {
         return proc;
       }
       case AlgoKind::kShardedServing: {
-        const auto* store = dynamic_cast<const core::ShardedStore*>(&type);
-        if (store == nullptr) {
-          throw std::invalid_argument(
-              "RunSpec: AlgoKind::kShardedServing requires a ShardedStore data type");
-        }
-        auto proc = std::make_unique<core::ShardedServingProcess>(*store, timing());
+        auto proc = std::make_unique<core::ShardedServingProcess>(*store, timing(), *replicas, p);
         proc->set_execution_logging(full_detail);
         sharded_procs.push_back(proc.get());
         return proc;

@@ -1,6 +1,5 @@
 #include "sim/run_record.hpp"
 
-#include <algorithm>
 #include <sstream>
 
 namespace lintime::sim {
@@ -10,19 +9,6 @@ std::string OpRecord::to_string() const {
   os << "p" << proc << ":" << op << "(" << arg.to_string() << ") -> " << ret.to_string() << " @ ["
      << invoke_real << ", " << response_real << "]";
   return os.str();
-}
-
-Time RunRecord::last_time() const {
-  Time t = 0;
-  for (const auto& s : steps) t = std::max(t, s.real_time);
-  return t;
-}
-
-Time RunRecord::first_time() const {
-  if (steps.empty()) return 0;
-  Time t = steps.front().real_time;
-  for (const auto& s : steps) t = std::min(t, s.real_time);
-  return t;
 }
 
 std::vector<StepRecord> RunRecord::view_of(ProcId p) const {

@@ -88,14 +88,18 @@ struct OpRecord {
 struct RunRecord {
   ModelParams params;
   std::vector<Time> clock_offsets;  ///< c_i per process
-  std::vector<StepRecord> steps;    ///< in global real-time order as executed
+  /// In global real-time order as executed: real_time never decreases.
+  /// World records them so, shift() stable-sorts them, chop_run() keeps a
+  /// subsequence, and read_record() rejects a trace that breaks the order.
+  std::vector<StepRecord> steps;
   std::vector<MessageRecord> messages;
   std::vector<OpRecord> ops;
 
-  /// last-time of the run: max real time over all steps (0 if empty).
-  [[nodiscard]] Time last_time() const;
-  /// first-time: min real time over all steps (0 if empty).
-  [[nodiscard]] Time first_time() const;
+  /// last-time of the run: the last step's real time, the maximum (0 if
+  /// empty).
+  [[nodiscard]] Time last_time() const { return steps.empty() ? 0 : steps.back().real_time; }
+  /// first-time: the first step's real time, the minimum (0 if empty).
+  [[nodiscard]] Time first_time() const { return steps.empty() ? 0 : steps.front().real_time; }
 
   /// The steps of one process, in order (a timed view).
   [[nodiscard]] std::vector<StepRecord> view_of(ProcId p) const;

@@ -179,6 +179,9 @@ RunRecord read_record(std::istream& is) {
       s.response = decode_value(response);
       std::uint64_t id = 0;
       while (ls >> id) s.sent_message_ids.push_back(id);
+      if (!record.steps.empty() && s.real_time < record.steps.back().real_time) {
+        throw std::invalid_argument("step line earlier than the step before it: " + line);
+      }
       record.steps.push_back(std::move(s));
     } else if (kind == "msg") {
       MessageRecord m;

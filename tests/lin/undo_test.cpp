@@ -1,9 +1,10 @@
 // Property test for ObjectState::apply_trailed / undo, the pair the
 // linearizability search probes candidates with: on every shipped state, the
-// composite ProductState, the sharded store's KeyedState and the test-only
-// CollidingState, random interleavings of trailed applies, pure-accessor
-// applies and undos must (a) return exactly what apply() returns and (b)
-// restore canonical() and fingerprint() on every undo.
+// composite ProductState, the sharded store's KeyedState (standalone and as
+// a column of shared replica rows) and the test-only CollidingState, random
+// interleavings of trailed applies, pure-accessor applies and undos must
+// (a) return exactly what apply() returns and (b) restore canonical() and
+// fingerprint() on every undo.
 
 #include <gtest/gtest.h>
 
@@ -42,11 +43,16 @@ Snapshot snap(const adt::ObjectState& s) { return {s.canonical(), s.fingerprint(
 /// invocation, a plain apply of a pure accessor (as the search does), or an
 /// undo of the most recent trailed apply.  A shadow clone replays every
 /// apply plainly, so the trailed return values are checked too.  Finally
-/// undoes everything and checks the initial state is back.
-void check_undo(const adt::DataType& type, std::uint64_t seed, int steps) {
+/// undoes everything and checks the initial state is back.  `state` is an
+/// initial state of `type` (default: type.initial_state()).  A `sibling`
+/// state, if given, takes a plain apply of a random invocation at each
+/// step; it must not disturb `state`.
+void check_undo(const adt::DataType& type, std::uint64_t seed, int steps,
+                std::unique_ptr<adt::ObjectState> state = nullptr,
+                adt::ObjectState* sibling = nullptr) {
   std::mt19937_64 rng(seed);
   const auto& specs = type.ops();
-  auto state = type.initial_state();
+  if (!state) state = type.initial_state();
   adt::Trail trail;
   std::vector<Snapshot> before;  // one per live trailed apply
   const Snapshot initial = snap(*state);
@@ -57,6 +63,11 @@ void check_undo(const adt::DataType& type, std::uint64_t seed, int steps) {
     const adt::Value& arg = args[rng() % args.size()];
     const adt::OpId id = type.op_id(spec.name);
     const bool undo = !before.empty() && rng() % 3 == 0;
+    if (sibling != nullptr) {
+      const auto& other = specs[rng() % specs.size()];
+      const auto other_args = type.sample_args(other.name);
+      (void)sibling->apply(type.op_id(other.name), other_args[rng() % other_args.size()]);
+    }
 
     if (undo) {
       state->undo(trail);
@@ -129,6 +140,26 @@ TEST(UndoTest, KeyedStateForwardsToTheKeysState) {
   check_undo_seeds(core::ShardedStore(reg, 4, 2));
   check_undo_seeds(core::ShardedStore(queue, 3, 2));
   check_undo_seeds(core::ShardedStore(set, 5, 3));
+}
+
+/// check_undo_seeds on column 1 of a two-column replica set of `store`,
+/// while column 0 of the same rows takes plain applies: rows the view never
+/// touched hold its initial states.
+void check_undo_view_seeds(const core::ShardedStore& store) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    core::ShardedReplicas replicas(store, 2);
+    const auto sibling = replicas.replica(0, 0);
+    check_undo(store, seed, 60, replicas.replica(0, 1), sibling.get());
+  }
+}
+
+TEST(UndoTest, ReplicaColumnViewForwardsToItsColumn) {
+  const adt::RegisterType reg;
+  const adt::QueueType queue;
+  const adt::SetType set;
+  check_undo_view_seeds(core::ShardedStore(reg, 4, 2));
+  check_undo_view_seeds(core::ShardedStore(queue, 3, 2));
+  check_undo_view_seeds(core::ShardedStore(set, 5, 3));
 }
 
 TEST(UndoTest, StringOnlyCollidingStateUsesTheSnapshotDefault) {

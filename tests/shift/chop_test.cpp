@@ -146,5 +146,30 @@ TEST(ChopTest, NoTrafficOnInvalidLinkThrows) {
   EXPECT_THROW((void)chop_run(record, matrix_with(2, 0, 12.0), 9.0), std::invalid_argument);
 }
 
+/// True iff `r.steps` never goes back in real time, the order
+/// RunRecord::first_time() and last_time() read the ends of.
+void expect_steps_in_time_order(const sim::RunRecord& r, const char* what) {
+  ASSERT_FALSE(r.steps.empty()) << what;
+  EXPECT_TRUE(std::is_sorted(r.steps.begin(), r.steps.end(),
+                             [](const sim::StepRecord& a, const sim::StepRecord& b) {
+                               return a.real_time < b.real_time;
+                             }))
+      << what;
+  const auto [lo, hi] = std::minmax_element(
+      r.steps.begin(), r.steps.end(),
+      [](const sim::StepRecord& a, const sim::StepRecord& b) { return a.real_time < b.real_time; });
+  EXPECT_EQ(r.first_time(), lo->real_time) << what;
+  EXPECT_EQ(r.last_time(), hi->real_time) << what;
+}
+
+TEST(ChopTest, RecordedShiftedAndChoppedStepsStayInRealTimeOrder) {
+  const auto r = busy_run();
+  expect_steps_in_time_order(r, "recorded");
+  // Opposite shifts reorder steps of different processes.
+  const auto shifted = shift_run(r, {0.0, 1.5, -0.7});
+  expect_steps_in_time_order(shifted, "shifted");
+  expect_steps_in_time_order(chop_run(r, matrix_with(1, 0, 12.0), 9.0), "chopped");
+}
+
 }  // namespace
 }  // namespace lintime::shift

@@ -120,6 +120,18 @@ TEST(TraceIoTest, MalformedInputThrows) {
   EXPECT_THROW((void)record_from_string("offset 0 1.5\n"), std::invalid_argument);
 }
 
+TEST(TraceIoTest, OutOfOrderStepsRejected) {
+  // Steps are stored in real-time order, which first_time() and last_time()
+  // rely on; a trace from outside the program must not break it.
+  const std::string params = "params 2 10 2 1\n";
+  const std::string early = "step 0 1.5 1.5 invoke 0 0 0 - nil nil\n";
+  const std::string late = "step 1 3 3 invoke 0 0 0 - nil nil\n";
+  const RunRecord ok = record_from_string(params + early + late + late);
+  EXPECT_EQ(ok.first_time(), 1.5);
+  EXPECT_EQ(ok.last_time(), 3.0);
+  EXPECT_THROW((void)record_from_string(params + late + early), std::invalid_argument);
+}
+
 TEST(TraceIoTest, CommentsAndBlankLinesIgnored)  {
   const auto b = record_from_string("# hello\n\nparams 2 10 2 1\n# bye\n");
   EXPECT_EQ(b.params.n, 2);
