@@ -13,6 +13,7 @@
 #include "adt/register_type.hpp"
 #include "clocksync/lundelius_lynch.hpp"
 #include "harness/runner.hpp"
+#include "harness/workload.hpp"
 #include "lin/checker.hpp"
 #include "shift/shift.hpp"
 
@@ -297,17 +298,12 @@ BENCHMARK(BM_FastCheckerThroughput_PQueue)->Arg(10000)->Arg(100000)->Arg(1000000
 /// End-to-end serving throughput at keyspace scale: a ShardedStore of
 /// registers with as many keys as operations, served by per-shard
 /// Algorithm 1 instances over n = 8 processes with an OPEN-LOOP pre-scheduled
-/// arrival plan (the whole plan sits in the event queue, so the scheduler
-/// carries 10^5-10^6 pending events), ops-only recording.  The _Ring/_Heap
-/// pair compares the new serving stack (event ring, ops-only recording)
-/// against the pre-refactor World configuration (binary heap, full
-/// step/message recording -- the only mode the old World had); the ISSUE's
-/// >= 3x acceptance bar compares these two at 10^6 ops.  Byte-identity of
-/// the two schedulers under EQUAL settings is asserted separately by the
-/// 60-seed equivalence suite.  Run by the CI smoke job next to
-/// BM_CheckerThroughput.
-void serving_throughput(benchmark::State& state, sim::SchedulerKind sched,
-                        sim::RecordDetail detail, bool intern_calls) {
+/// arrival plan (the whole plan sits in the event ring, so the scheduler
+/// carries 10^5-10^6 pending events), ops-only recording.  The plan is
+/// materialized once, outside the timed loop.  Run by the CI smoke job next
+/// to BM_CheckerThroughput.  The _Ring suffix is the name the committed
+/// results (BENCH_serving.json, tools/ci/bench_baseline.json) are keyed on.
+void BM_ServingThroughput_Ring(benchmark::State& state) {
   const auto total_ops = static_cast<std::int64_t>(state.range(0));
   const int n = 8;
   lintime::adt::RegisterType reg;
@@ -315,11 +311,12 @@ void serving_throughput(benchmark::State& state, sim::SchedulerKind sched,
   harness::RunSpec spec;
   spec.params = params_for(n);
   spec.algo = harness::AlgoKind::kShardedServing;
-  spec.scheduler = sched;
-  spec.record_detail = detail;
-  spec.intern_calls = intern_calls;
+  spec.record_detail = sim::RecordDetail::kOpsOnly;
   spec.max_events = 60'000'000;
-  spec.calls = harness::sharded_calls(store, n, static_cast<int>(total_ops / n), 42);
+  harness::ShardedWorkloadGen::Options opts;
+  opts.ops_per_proc = static_cast<int>(total_ops / n);
+  opts.seed = 42;
+  spec.calls = harness::ShardedWorkloadGen(opts).generate(store, spec.params).calls;
   std::int64_t completed = 0;
   for (auto _ : state) {
     const auto result = harness::execute(store, spec);
@@ -330,19 +327,7 @@ void serving_throughput(benchmark::State& state, sim::SchedulerKind sched,
       benchmark::Counter(static_cast<double>(completed), benchmark::Counter::kIsRate);
   state.SetLabel(store.name());
 }
-
-void BM_ServingThroughput_Ring(benchmark::State& state) {
-  serving_throughput(state, sim::SchedulerKind::kEventRing, sim::RecordDetail::kOpsOnly,
-                     /*intern_calls=*/true);
-}
 BENCHMARK(BM_ServingThroughput_Ring)->Arg(100000)->Arg(1000000)->Unit(benchmark::kMillisecond);
-
-void BM_ServingThroughput_Heap(benchmark::State& state) {
-  // String-overload dispatch: the pre-refactor World had no invoke_at(OpId).
-  serving_throughput(state, sim::SchedulerKind::kBinaryHeap, sim::RecordDetail::kFull,
-                     /*intern_calls=*/false);
-}
-BENCHMARK(BM_ServingThroughput_Heap)->Arg(100000)->Arg(1000000)->Unit(benchmark::kMillisecond);
 
 void BM_CompositeTwoObjects(benchmark::State& state) {
   lintime::adt::QueueType queue;

@@ -111,7 +111,6 @@ RunResult execute(const adt::DataType& type, const RunSpec& spec) {
   config.drop_probability = spec.drop_probability;
   config.drop_seed = spec.drop_seed;
   config.faults = spec.faults;
-  config.scheduler = spec.scheduler;
   config.record_detail = spec.record_detail;
 
   const bool full_detail = spec.record_detail == sim::RecordDetail::kFull;
@@ -203,7 +202,7 @@ RunResult execute(const adt::DataType& type, const RunSpec& spec) {
     // Intern once per call here rather than per call inside the World; names
     // the type doesn't know stay on the string overload (the process's
     // on_invoke decides what they mean).
-    const adt::OpId id = spec.intern_calls ? type.find_op(call.op) : adt::OpId{};
+    const adt::OpId id = type.find_op(call.op);
     if (id.valid()) {
       world.invoke_at(call.when, call.proc, id, call.arg);
     } else {
@@ -259,53 +258,6 @@ std::vector<std::vector<ScriptOp>> random_scripts(const adt::DataType& type, int
     }
   }
   return scripts;
-}
-
-std::vector<std::vector<ScriptOp>> sharded_scripts(const core::ShardedStore& store, int n,
-                                                   int ops_per_proc, std::uint64_t seed) {
-  std::mt19937_64 rng(seed);
-  const auto& specs = store.component().ops();
-  const auto num_keys = static_cast<std::uint64_t>(store.num_keys());
-  std::vector<std::vector<ScriptOp>> scripts(static_cast<std::size_t>(n));
-  for (int p = 0; p < n; ++p) {
-    auto& script = scripts[static_cast<std::size_t>(p)];
-    script.reserve(static_cast<std::size_t>(ops_per_proc));
-    for (int i = 0; i < ops_per_proc; ++i) {
-      const auto& spec = specs[rng() % specs.size()];
-      const auto key = static_cast<std::int64_t>(rng() % num_keys);
-      adt::Value inner = spec.takes_arg
-                             ? adt::Value{static_cast<std::int64_t>(p) * ops_per_proc + i + 1}
-                             : adt::Value::nil();
-      script.push_back(ScriptOp{spec.name, core::ShardedStore::keyed(key, std::move(inner))});
-    }
-  }
-  return scripts;
-}
-
-std::vector<Call> sharded_calls(const core::ShardedStore& store, int n, int ops_per_proc,
-                                std::uint64_t seed, double spacing) {
-  if (spacing <= 0) throw std::invalid_argument("sharded_calls: spacing must be > 0");
-  std::mt19937_64 rng(seed);
-  const auto& specs = store.component().ops();
-  const auto num_keys = static_cast<std::uint64_t>(store.num_keys());
-  std::vector<Call> calls;
-  calls.reserve(static_cast<std::size_t>(n) * static_cast<std::size_t>(ops_per_proc));
-  // Round-robin over processes inside each arrival epoch keeps the plan
-  // strictly time-ascending, which is what lets the event queue take far
-  // pushes on its O(1) monotone lane.
-  for (int i = 0; i < ops_per_proc; ++i) {
-    for (int p = 0; p < n; ++p) {
-      const auto& spec = specs[rng() % specs.size()];
-      const auto key = static_cast<std::int64_t>(rng() % num_keys);
-      adt::Value inner = spec.takes_arg
-                             ? adt::Value{static_cast<std::int64_t>(p) * ops_per_proc + i + 1}
-                             : adt::Value::nil();
-      const double when = (static_cast<double>(i) + static_cast<double>(p) / n) * spacing;
-      calls.push_back(
-          Call{when, p, spec.name, core::ShardedStore::keyed(key, std::move(inner))});
-    }
-  }
-  return calls;
 }
 
 }  // namespace lintime::harness

@@ -3,7 +3,9 @@
 // (open-loop scheduled calls and/or closed-loop per-process scripts), and
 // collect the recorded run plus per-operation latency statistics.  All
 // tests, examples and benches go through this harness, so experiment
-// configurations are declarative and reproducible.
+// configurations are declarative and reproducible.  Plans come either as
+// explicit calls/scripts or from a WorkloadGen (harness/workload.hpp), which
+// is also the only source of serving plans over a ShardedStore.
 
 #include <cstdint>
 #include <map>
@@ -91,18 +93,14 @@ struct RunSpec {
   /// cancelled timers per op are still popped (0.66 in the closed loops
   /// under random delays of check-search), so 10^6 ops need about 10^7
   /// events.
-  sim::SchedulerKind scheduler = sim::SchedulerKind::kEventRing;
+  sim::SchedulerKind scheduler = sim::SchedulerKind::kEventRing;  ///< not read; see SchedulerKind
   sim::RecordDetail record_detail = sim::RecordDetail::kFull;
   std::uint64_t max_events = 10'000'000;
 
-  std::vector<Call> calls;  ///< open-loop invocations
-
-  /// When true (default), `calls` are resolved to interned adt::OpId once at
-  /// submission and invoked through the id overload -- the serving fast path.
-  /// The false setting routes every call through the legacy string overload;
-  /// it exists so benchmarks can reproduce the pre-refactor per-call cost,
-  /// and new code should have no reason to clear it.
-  bool intern_calls = true;
+  /// Open-loop invocations.  Each call's name is resolved to its interned
+  /// adt::OpId once at submission; a name the type does not know goes
+  /// through the string overload of World::invoke_at.
+  std::vector<Call> calls;
 
   /// Closed-loop scripts: scripts[p] is invoked back-to-back at process p,
   /// the first at `script_start`, each next `script_gap` after the previous
@@ -153,29 +151,5 @@ struct RunResult {
 [[nodiscard]] std::vector<std::vector<ScriptOp>> random_scripts(const adt::DataType& type,
                                                                 int n, int ops_per_proc,
                                                                 std::uint64_t seed);
-
-/// Generates a closed-loop serving workload over a ShardedStore: keys drawn
-/// uniformly from the keyspace, component operations drawn uniformly, and
-/// integer arguments globally unique (1 + proc * ops_per_proc + i), which
-/// keeps per-key restrictions inside the fast monitors' distinct-value
-/// precondition for components like registers.  Arguments start at 1 so no
-/// write repeats a register's initial 0 (a history that does goes to the
-/// general search).  Deterministic per seed.
-[[nodiscard]] std::vector<std::vector<ScriptOp>> sharded_scripts(const core::ShardedStore& store,
-                                                                 int n, int ops_per_proc,
-                                                                 std::uint64_t seed);
-
-/// Generates an OPEN-LOOP serving arrival plan over a ShardedStore: the same
-/// op/key/value distribution as sharded_scripts, but as pre-scheduled
-/// RunSpec::calls at fixed times instead of response-driven scripts.  Process
-/// p's i-th call arrives at `(i + p/n) * spacing`, strictly time-ascending
-/// across the plan; `spacing` must exceed the worst-case response latency
-/// (about d for Algorithm 1), since a process may hold only one outstanding
-/// invocation.  This is the serving benchmark's workload: the whole plan
-/// sits in the simulator's event queue, so scheduler behaviour at 10^5-10^6
-/// pending events is what's measured.  Deterministic per seed.
-[[nodiscard]] std::vector<Call> sharded_calls(const core::ShardedStore& store, int n,
-                                              int ops_per_proc, std::uint64_t seed,
-                                              double spacing = 20.0);
 
 }  // namespace lintime::harness

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <random>
 #include <sstream>
 #include <stdexcept>
@@ -117,25 +118,19 @@ WorkloadPlan ShardedWorkloadGen::generate(const adt::DataType& type,
   WorkloadPlan plan;
   const int n = params.n;
 
-  if (o.zipf_theta == 0 && o.closed_loop) {
-    plan.scripts = sharded_scripts(store, n, o.ops_per_proc, o.seed);
-    plan.script_gap = o.think;
-    return plan;
-  }
-  if (o.zipf_theta == 0 && !o.closed_loop && o.burst == 0) {
-    plan.calls = sharded_calls(store, n, o.ops_per_proc, o.seed, o.spacing);
-    return plan;
-  }
-
-  // Zipf keys and/or bursty arrivals: same draw order per operation as the
-  // uniform helpers (op spec first, then key), so only the key mapping and
-  // the arrival timestamps differ from the historical plans.
+  // One RNG stream per plan, two draws per operation: the op spec first,
+  // then the key.  Written values are globally unique (1 + p*ops_per_proc +
+  // i), which keeps per-key restrictions inside the fast monitors'
+  // distinct-value precondition, and start at 1 so no write repeats a
+  // register's initial 0.  The Zipf CDF is built only for Zipf keys; a
+  // uniform plan would pay for a num_keys-entry table it never reads.
   std::mt19937_64 rng(o.seed);
   const auto& specs = store.component().ops();
   const auto num_keys = static_cast<std::uint64_t>(store.num_keys());
-  const ZipfTable zipf(store.num_keys(), o.zipf_theta > 0 ? o.zipf_theta : 1.0);
+  std::optional<ZipfTable> zipf;
+  if (o.zipf_theta > 0) zipf.emplace(store.num_keys(), o.zipf_theta);
   const auto draw_key = [&]() -> std::int64_t {
-    if (o.zipf_theta > 0) return zipf.sample(rng);
+    if (zipf) return zipf->sample(rng);
     return static_cast<std::int64_t>(rng() % num_keys);
   };
 
@@ -157,6 +152,9 @@ WorkloadPlan ShardedWorkloadGen::generate(const adt::DataType& type,
     return plan;
   }
 
+  // Round-robin over processes inside each arrival epoch keeps the plan
+  // strictly time-ascending, which is what lets the event ring take far
+  // pushes on its O(1) monotone lane.
   plan.calls.reserve(static_cast<std::size_t>(n) * static_cast<std::size_t>(o.ops_per_proc));
   for (int i = 0; i < o.ops_per_proc; ++i) {
     // Arrival epoch i starts at i*spacing when steady; under bursts, epochs

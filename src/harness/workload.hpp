@@ -8,10 +8,10 @@
 // (constructor options, type, params) -- no hidden state, no wall clock --
 // so one generator instance is safe to share across campaign jobs running
 // on different threads, and the same spec always replays the same plan.
-// The uniform generators delegate to the original harness helpers
-// (random_scripts / sharded_scripts / sharded_calls), consuming the seeded
-// RNG in exactly the historical order; plans produced through a generator
-// are byte-identical to the hard-coded plans they replaced.
+// The random-scripts generators draw through harness::random_scripts;
+// ShardedWorkloadGen is the only source of serving plans.  Each consumes its
+// seeded RNG in a fixed order, pinned by the scenario goldens and by
+// tests/harness/workload_test.cpp.
 
 #include <cstdint>
 #include <string>
@@ -98,9 +98,11 @@ class StaggeredRoundsGen final : public WorkloadGen {
 ///    or bursty: `burst` back-to-back arrival epochs at `spacing` separated
 ///    by `burst_gap` of silence), or closed-loop scripts with `think` time
 ///    between a response and the next call.
-/// Uniform + open + steady delegates to harness::sharded_calls and uniform +
-/// closed to harness::sharded_scripts, so the historical serving plans are
-/// reproduced byte-identically.
+/// Every shape draws, per operation, the component op uniformly and then the
+/// key, and writes a globally unique value (1 + p*ops_per_proc + i).  A
+/// steady open loop schedules process p's i-th call at (i + p/n) * spacing;
+/// `spacing` must exceed the worst-case response latency (about d for
+/// Algorithm 1), since a process may hold only one outstanding invocation.
 class ShardedWorkloadGen final : public WorkloadGen {
  public:
   struct Options {

@@ -404,16 +404,6 @@ void build_run(const JobView& jv, const sim::ModelParams& params, harness::RunSp
     }
   }
 
-  const std::string sched = get_str(jv, "run", "scheduler", "ring");
-  if (sched == "ring") {
-    spec.scheduler = sim::SchedulerKind::kEventRing;
-  } else if (sched == "heap") {
-    spec.scheduler = sim::SchedulerKind::kBinaryHeap;
-  } else {
-    toml_fail(jv.doc.file, jv.find("run", "scheduler")->line,
-              "unknown scheduler \"" + sched + "\" (expected ring or heap)");
-  }
-
   const std::string record = get_str(jv, "run", "record", "full");
   if (record == "full") {
     spec.record_detail = sim::RecordDetail::kFull;
@@ -430,8 +420,10 @@ void build_run(const JobView& jv, const sim::ModelParams& params, harness::RunSp
   }
   spec.max_events = static_cast<std::uint64_t>(max_events);
 
+  // "|sched=ring" names the only scheduler; it stays in the description so
+  // the corpus digests keep their values.
   desc += std::string("|algo=") + harness::to_string(spec.algo) + "|X=" + fmt_double(spec.X) +
-          "|sched=" + sched + "|record=" + record + "|max-events=" + std::to_string(max_events);
+          "|sched=ring|record=" + record + "|max-events=" + std::to_string(max_events);
 }
 
 void build_delays(const JobView& jv, const sim::ModelParams& params, harness::RunSpec& spec,

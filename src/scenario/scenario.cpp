@@ -22,7 +22,7 @@ const std::vector<SectionSchema>& schema() {
       {"scenario", {"name", "type", "check", "bench-ops"}},
       {"model", {"n", "d", "u", "eps"}},
       {"store", {"keys", "shards"}},
-      {"run", {"algo", "scheduler", "record", "max-events", "x-frac", "x-abs"}},
+      {"run", {"algo", "record", "max-events", "x-frac", "x-abs"}},
       {"delays", {"kind", "value", "lo", "hi", "seed", "matrix"}},
       {"clocks", {"drift", "rates", "offsets"}},
       {"faults",

@@ -11,7 +11,7 @@
 //   [scenario]  name, type, check, bench-ops
 //   [model]     n, d, u, eps ("optimal" or a number)
 //   [store]     keys, shards        # wraps `type` in a core::ShardedStore
-//   [run]       algo, scheduler, record, max-events, x-frac, x-abs
+//   [run]       algo, record, max-events, x-frac, x-abs
 //   [delays]    kind ("constant" | "uniform-random" | "matrix"), value,
 //               lo, hi, seed, matrix
 //   [clocks]    drift, rates, offsets

