@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "campaign/executor.hpp"
+#include "harness/workload.hpp"
 
 namespace lintime::bench {
 
@@ -12,22 +13,6 @@ sim::ModelParams default_params() {
   sim::ModelParams p{5, 10.0, 2.0, 0.0};
   p.eps = p.optimal_eps();
   return p;
-}
-
-harness::RunSpec worst_latency_run(const MeasureSpec& spec, const sim::ModelParams& params) {
-  harness::RunSpec run;
-  run.params = params;
-  run.algo = spec.algo;
-  run.X = spec.X;
-  run.delays = std::make_shared<sim::ConstantDelay>(params.d);
-
-  // Prefix at p0, then the measured call at p1 well after quiescence.
-  const double t =
-      (static_cast<double>(spec.rho.size()) + 2.0) * (params.d + params.u + params.eps + 1.0);
-  run.scripts.assign(static_cast<std::size_t>(params.n), {});
-  run.scripts[0] = spec.rho;
-  run.calls = {harness::Call{t, 1, spec.op, spec.arg}};
-  return run;
 }
 
 namespace {
@@ -42,12 +27,6 @@ double latency_at_p1(const sim::RunRecord& record, const std::string& op_name) {
 }
 
 }  // namespace
-
-double measure_worst_latency(const adt::DataType& type, const MeasureSpec& spec,
-                             const sim::ModelParams& params) {
-  const auto result = harness::execute(type, worst_latency_run(spec, params));
-  return latency_at_p1(result.record, spec.op);
-}
 
 MeasureBatch::MeasureBatch(sim::ModelParams params, std::string name)
     : default_params_(params) {
@@ -69,7 +48,12 @@ std::size_t MeasureBatch::add(const adt::DataType& type, MeasureSpec spec,
               {"X", fmt(spec.X)},
               {"n", std::to_string(params.n)}};
   job.type = &type;
-  job.spec = worst_latency_run(spec, params);
+  job.spec.params = params;
+  job.spec.algo = spec.algo;
+  job.spec.X = spec.X;
+  job.spec.delays = std::make_shared<sim::ConstantDelay>(params.d);
+  job.spec.workload =
+      std::make_shared<harness::WorstLatencyGen>(spec.op, spec.arg, std::move(spec.rho));
   spec_.jobs.push_back(std::move(job));
   measured_ops_.push_back(spec.op);
   return handle;

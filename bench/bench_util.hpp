@@ -21,8 +21,8 @@ namespace lintime::bench {
 
 /// Worst-case measured latency of one operation under the max-delay
 /// adversary: a prefix `rho` runs at p0, then `op` is invoked at p1 after
-/// quiescence.  X is Algorithm 1's tradeoff parameter (ignored by the
-/// baselines).
+/// quiescence (the harness::WorstLatencyGen plan).  X is Algorithm 1's
+/// tradeoff parameter (ignored by the baselines).
 struct MeasureSpec {
   std::string op;
   adt::Value arg;
@@ -30,13 +30,6 @@ struct MeasureSpec {
   double X = 0;
   harness::AlgoKind algo = harness::AlgoKind::kAlgorithmOne;
 };
-[[nodiscard]] double measure_worst_latency(const adt::DataType& type, const MeasureSpec& spec,
-                                           const sim::ModelParams& params);
-
-/// Builds the harness::RunSpec that measure_worst_latency executes (the
-/// campaign job shape shared by the table benches and campaign_runner).
-[[nodiscard]] harness::RunSpec worst_latency_run(const MeasureSpec& spec,
-                                                 const sim::ModelParams& params);
 
 /// A batch of worst-case latency measurements executed as one campaign:
 /// queue measurements with add() (each returns a handle), run() them all --

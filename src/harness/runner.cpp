@@ -1,5 +1,6 @@
 #include "harness/runner.hpp"
 
+#include <algorithm>
 #include <random>
 #include <stdexcept>
 
@@ -16,37 +17,46 @@ namespace lintime::harness {
 
 namespace {
 
-/// Closed-loop driver state shared by the response hook.  Operation names
-/// are resolved to interned ids ONCE up front; every subsequent invocation
-/// goes through the id overload of invoke_at, so a million-op serving script
-/// performs a million hash-map lookups fewer than the string path would.
+/// Closed-loop driver state shared by the response hook.  It reads the
+/// scripts in place.  Operation names are resolved to interned ids ONCE up
+/// front; every subsequent invocation goes through the id overload of
+/// invoke_at, so a million-op serving script performs a million hash-map
+/// lookups fewer than the string path would.
 struct ScriptDriver {
-  std::vector<std::vector<ScriptOp>> scripts;
+  const std::vector<std::vector<ScriptOp>>& scripts;
   std::vector<std::vector<adt::OpId>> ids;  ///< parallel to scripts
   std::vector<std::size_t> next;            ///< per-process cursor
-  sim::Time gap = 0;
+  sim::Time gap;
 
-  void resolve(const adt::DataType& type) {
-    ids.resize(scripts.size());
-    for (std::size_t p = 0; p < scripts.size(); ++p) {
-      ids[p].reserve(scripts[p].size());
-      for (const auto& step : scripts[p]) ids[p].push_back(type.op_id(step.op));
-    }
-  }
-
-  void kick_off(sim::World& world, sim::Time start) {
-    for (sim::ProcId p = 0; p < static_cast<sim::ProcId>(scripts.size()); ++p) {
-      advance(world, p, start);
+  ScriptDriver(const adt::DataType& type, const std::vector<std::vector<ScriptOp>>& s,
+               sim::Time script_gap)
+      : scripts(s), ids(s.size()), next(s.size(), 0), gap(script_gap) {
+    for (std::size_t p = 0; p < s.size(); ++p) {
+      ids[p].reserve(s[p].size());
+      for (const auto& step : s[p]) ids[p].push_back(type.op_id(step.op));
     }
   }
 
   void advance(sim::World& world, sim::ProcId p, sim::Time when) {
-    auto& cursor = next[static_cast<std::size_t>(p)];
-    const auto& script = scripts[static_cast<std::size_t>(p)];
+    const auto pi = static_cast<std::size_t>(p);
+    auto& cursor = next[pi];
+    const auto& script = scripts[pi];
     if (cursor >= script.size()) return;
     const auto& step = script[cursor];
-    world.invoke_at(when, p, ids[static_cast<std::size_t>(p)][cursor], step.arg);
+    world.invoke_at(std::max(when, step.not_before), p, ids[pi][cursor], step.arg);
     ++cursor;
+  }
+
+  /// Advances op.proc's script if `op` answers the step it has in flight
+  /// (the last one invoked); an open-loop call at that process does not.
+  void on_response(sim::World& world, const sim::OpRecord& op) {
+    const auto pi = static_cast<std::size_t>(op.proc);
+    const std::size_t cursor = next[pi];
+    if (cursor == 0 || op.op_id != ids[pi][cursor - 1] ||
+        op.arg != scripts[pi][cursor - 1].arg) {
+      return;
+    }
+    advance(world, op.proc, world.now() + gap);
   }
 };
 
@@ -116,7 +126,7 @@ RunResult execute(const adt::DataType& type, const RunSpec& spec) {
   const bool full_detail = spec.record_detail == sim::RecordDetail::kFull;
 
   // A workload generator materializes the plan here; explicit calls/scripts
-  // pass through untouched (the historical path, byte-identical).
+  // are read from the spec in place.
   WorkloadPlan plan;
   const std::vector<Call>* calls = &spec.calls;
   const std::vector<std::vector<ScriptOp>>* scripts = &spec.scripts;
@@ -210,19 +220,15 @@ RunResult execute(const adt::DataType& type, const RunSpec& spec) {
     }
   }
 
-  ScriptDriver driver;
+  std::optional<ScriptDriver> driver;
   if (!scripts->empty()) {
     if (scripts->size() != static_cast<std::size_t>(spec.params.n)) {
       throw std::invalid_argument("RunSpec: scripts.size() must equal n");
     }
-    driver.scripts = *scripts;
-    driver.resolve(type);
-    driver.next.assign(driver.scripts.size(), 0);
-    driver.gap = script_gap;
-    world.set_response_hook([&driver](sim::World& w, const sim::OpRecord& op) {
-      driver.advance(w, op.proc, w.now() + driver.gap);
-    });
-    driver.kick_off(world, script_start);
+    driver.emplace(type, *scripts, script_gap);
+    world.set_response_hook(
+        [&driver](sim::World& w, const sim::OpRecord& op) { driver->on_response(w, op); });
+    for (sim::ProcId p = 0; p < spec.params.n; ++p) driver->advance(world, p, script_start);
   }
 
   world.run(spec.max_events);

@@ -1,9 +1,15 @@
 #pragma once
 // Run orchestration: build a World for a chosen algorithm, drive a workload
 // (open-loop scheduled calls and/or closed-loop per-process scripts), and
-// collect the recorded run plus per-operation latency statistics.  All
-// tests, examples and benches go through this harness, so experiment
-// configurations are declarative and reproducible.  Plans come either as
+// collect the recorded run plus per-operation latency statistics.  Campaigns,
+// scenarios, the table benches and the Theorem 2-5 experiments
+// (shift/theorems.cpp) all run through this harness, so their configurations
+// are declarative and reproducible.  Only these build a sim::World
+// themselves: the tie-break ablation (bench/ablations.cpp and
+// tests/core/ablation_test.cpp flip WorldConfig::timers_before_deliveries),
+// the clock-synchronization round (src/clocksync), the tests and
+// micro-benchmarks that inspect processes (construction, composite,
+// Algorithm 1, sharded store), and the sim unit tests.  Plans come either as
 // explicit calls/scripts or from a WorkloadGen (harness/workload.hpp), which
 // is also the only source of serving plans over a ShardedStore.
 
@@ -59,6 +65,7 @@ struct Call {
 struct ScriptOp {
   std::string op;
   adt::Value arg;
+  sim::Time not_before = 0;  ///< earliest real time the step may be invoked at
 };
 
 struct RunSpec {
@@ -103,8 +110,14 @@ struct RunSpec {
   std::vector<Call> calls;
 
   /// Closed-loop scripts: scripts[p] is invoked back-to-back at process p,
-  /// the first at `script_start`, each next `script_gap` after the previous
-  /// response.
+  /// the first step at max(script_start, not_before), each next one at
+  /// max(previous response + script_gap, not_before).  A step's not_before
+  /// starts a script late or chains a later script behind an earlier one at
+  /// the same process.  Open-loop calls may target a process that runs a
+  /// script: a response advances p's script only if it answers the step in
+  /// flight, which is recognized by its operation and argument.  An
+  /// open-loop call that responds at p while a step is in flight must differ
+  /// from that step in one of the two.
   std::vector<std::vector<ScriptOp>> scripts;
   sim::Time script_start = 0;
   sim::Time script_gap = 0;

@@ -199,8 +199,6 @@ WorkloadPlan WorstLatencyGen::generate(const adt::DataType&,
   if (params.n < 2) {
     throw std::invalid_argument("WorstLatencyGen: needs n >= 2 (prefix at p0, call at p1)");
   }
-  // Mirrors bench::worst_latency_run: prefix at p0, measured call at p1 well
-  // after the prefix quiesces.
   WorkloadPlan plan;
   const double t =
       (static_cast<double>(rho_.size()) + 2.0) * (params.d + params.u + params.eps + 1.0);

@@ -126,7 +126,7 @@ class ShardedWorkloadGen final : public WorkloadGen {
   Options opts_;
 };
 
-/// The table-bench shape (bench::worst_latency_run): a prefix script `rho`
+/// The table-bench shape (bench::MeasureBatch): a prefix script `rho`
 /// at p0, then the single measured call (op, arg) at p1 at real time
 /// (|rho| + 2) * (d + u + eps + 1), well after the prefix quiesces.
 class WorstLatencyGen final : public WorkloadGen {

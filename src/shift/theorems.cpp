@@ -2,114 +2,47 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
 
-#include "core/algorithm_one.hpp"
 #include "core/timing_policy.hpp"
 #include "lin/checker.hpp"
 #include "shift/render.hpp"
-#include "sim/world.hpp"
 
 namespace lintime::shift {
 
 namespace {
 
 using adt::Value;
-using core::AlgorithmOneProcess;
 using core::TimingPolicy;
+using harness::Call;
 using harness::ScriptOp;
 using sim::ModelParams;
 using sim::ProcId;
 using sim::Time;
 
-/// A timed open-loop call.
-struct TimedCall {
-  Time when;
-  ProcId proc;
-  std::string op;
-  Value arg;
-};
+/// The run every experiment starts from: Algorithm 1 under `timing`, with
+/// the prefix `rho` scripted at p0 from time 0.  Each experiment adds its
+/// adversary (clock offsets, delays) and its open-loop calls.
+harness::RunSpec algorithm_one_run(const ModelParams& params, const TimingPolicy& timing,
+                                   const std::vector<ScriptOp>& rho) {
+  harness::RunSpec run;
+  run.params = params;
+  run.timing = timing;
+  run.scripts.assign(static_cast<std::size_t>(params.n), {});
+  run.scripts[0] = rho;
+  return run;
+}
 
-/// A sequential (closed-loop) script at one process, starting at a given
-/// real time.
-struct TimedScript {
-  Time start;
-  ProcId proc;
-  std::vector<ScriptOp> ops;
-};
-
-/// Runs Algorithm 1 with an arbitrary timing policy under the given
-/// adversary and workload; returns the full record.
-sim::RunRecord run_algorithm_one(const adt::DataType& type, const ModelParams& params,
-                                 const TimingPolicy& timing, std::vector<Time> offsets,
-                                 std::shared_ptr<sim::DelayModel> delays,
-                                 const std::vector<TimedCall>& calls,
-                                 const std::vector<TimedScript>& scripts) {
-  sim::WorldConfig config;
-  config.params = params;
-  config.clock_offsets = std::move(offsets);
-  config.delays = std::move(delays);
-
-  sim::World world(config, [&](ProcId) -> std::unique_ptr<sim::Process> {
-    return std::make_unique<AlgorithmOneProcess>(type, timing);
-  });
-
-  // Closed-loop cursors per process.  Several scripts may target the same
-  // process (e.g. a prefix rho and a late probe); they are chained in start
-  // order, each entry carrying the earliest real time it may be invoked at.
-  struct Entry {
-    ScriptOp op;
-    sim::Time not_before;
-  };
-  struct Cursor {
-    std::deque<Entry> remaining;
-    // The (name, arg) of the entry currently in flight: open-loop TimedCalls
-    // at the same process also trigger the response hook, and must not
-    // advance the script.  Constructions keep script ops distinguishable
-    // from open-loop calls by (name, arg).
-    std::optional<ScriptOp> in_flight;
-  };
-  std::vector<Cursor> cursors(static_cast<std::size_t>(params.n));
-  {
-    std::vector<TimedScript> sorted = scripts;
-    std::sort(sorted.begin(), sorted.end(),
-              [](const TimedScript& a, const TimedScript& b) { return a.start < b.start; });
-    for (const auto& script : sorted) {
-      auto& cursor = cursors[static_cast<std::size_t>(script.proc)];
-      for (const auto& op : script.ops) cursor.remaining.push_back(Entry{op, script.start});
-    }
-  }
-  world.set_response_hook([&cursors](sim::World& w, const sim::OpRecord& op) {
-    auto& cursor = cursors[static_cast<std::size_t>(op.proc)];
-    if (!cursor.in_flight || cursor.in_flight->op != op.op || cursor.in_flight->arg != op.arg) {
-      return;  // an open-loop call completed, not the script's entry
-    }
-    cursor.in_flight.reset();
-    if (!cursor.remaining.empty()) {
-      Entry next = cursor.remaining.front();
-      cursor.remaining.pop_front();
-      cursor.in_flight = next.op;
-      w.invoke_at(std::max(w.now(), next.not_before), op.proc, next.op.op, next.op.arg);
-    }
-  });
-  for (auto& cursor : cursors) {
-    if (cursor.remaining.empty()) continue;
-    const ProcId proc = static_cast<ProcId>(&cursor - cursors.data());
-    Entry first = cursor.remaining.front();
-    cursor.remaining.pop_front();
-    cursor.in_flight = first.op;
-    world.invoke_at(first.not_before, proc, first.op.op, first.op.arg);
-  }
-
-  for (const auto& call : calls) {
-    world.invoke_at(call.when, call.proc, call.op, call.arg);
-  }
-
-  world.run();
-  return world.record();
+/// `base` under the given clock offsets, delay matrix and open-loop calls.
+sim::RunRecord run_under(const adt::DataType& type, harness::RunSpec base,
+                         std::vector<Time> offsets, const std::vector<std::vector<Time>>& delays,
+                         std::vector<Call> calls) {
+  base.clock_offsets = std::move(offsets);
+  base.delays = std::make_shared<sim::MatrixDelay>(delays);
+  base.calls = std::move(calls);
+  return harness::execute(type, base).record;
 }
 
 /// Conservative upper bound on the quiescence time of a sequential script of
@@ -162,9 +95,6 @@ ExperimentResult theorem2_pure_accessor(const adt::DataType& type, const Theorem
     unsafe.mop_respond = std::max(unsafe.mop_respond, params.d - quarter);
   }
 
-  auto delays = std::make_shared<sim::MatrixDelay>(
-      sim::MatrixDelay::uniform(params.n, params.d - params.u / 2));
-
   // The mutator's latency determines how many accessor instances are needed
   // to straddle it (the proof's k = ceil(|OP| / (u/4))).
   const Time mutator_latency = (mutator_cat == adt::OpCategory::kPureMutator)
@@ -174,18 +104,15 @@ ExperimentResult theorem2_pure_accessor(const adt::DataType& type, const Theorem
 
   const Time t = quiescence_bound(params, spec.rho.size());
 
-  std::vector<TimedCall> calls;
+  harness::RunSpec run = algorithm_one_run(params, unsafe, spec.rho);
+  run.delays = std::make_shared<sim::MatrixDelay>(
+      sim::MatrixDelay::uniform(params.n, params.d - params.u / 2));
   for (int i = 0; i <= k + 1; ++i) {
-    calls.push_back(TimedCall{t + i * quarter, static_cast<ProcId>(i % 2), spec.aop,
-                              spec.aop_arg});
+    run.calls.push_back(
+        Call{t + i * quarter, static_cast<ProcId>(i % 2), spec.aop, spec.aop_arg});
   }
-  calls.push_back(TimedCall{t + quarter, 2, spec.mutator_op, spec.mutator_arg});
-
-  std::vector<TimedScript> scripts;
-  if (!spec.rho.empty()) scripts.push_back(TimedScript{0, 0, spec.rho});
-
-  const sim::RunRecord r1 =
-      run_algorithm_one(type, params, unsafe, {}, delays, calls, scripts);
+  run.calls.push_back(Call{t + quarter, 2, spec.mutator_op, spec.mutator_arg});
+  const sim::RunRecord r1 = harness::execute(type, run).record;
 
   // Locate the proof's index j: the last accessor instance returning the
   // "old" value.  Accessor instances are the aop calls at p0/p1 from time t.
@@ -252,17 +179,13 @@ ExperimentResult theorem2_pure_accessor(const adt::DataType& type, const Theorem
   // Standard Algorithm 1 under the same adversary -- closed-loop workload of
   // the same shape -- stays linearizable, and stays linearizable even after
   // the same shift (a correct algorithm is correct in every admissible run).
-  TimingPolicy safe = TimingPolicy::standard(params, /*X=*/0);
-  std::vector<ScriptOp> p0_script = spec.rho;
-  for (int i = 0; i < (k + 2 + 1) / 2; ++i) p0_script.push_back(ScriptOp{spec.aop, spec.aop_arg});
-  std::vector<TimedScript> safe_scripts = {
-      TimedScript{0, 0, p0_script},
-      TimedScript{t, 1, std::vector<ScriptOp>((k + 2) / 2, ScriptOp{spec.aop, spec.aop_arg})},
-  };
-  std::vector<TimedCall> safe_calls = {
-      TimedCall{t + quarter, 2, spec.mutator_op, spec.mutator_arg}};
-  const sim::RunRecord safe_run =
-      run_algorithm_one(type, params, safe, {}, delays, safe_calls, safe_scripts);
+  run.timing = TimingPolicy::standard(params, /*X=*/0);
+  for (int i = 0; i < (k + 2 + 1) / 2; ++i) {
+    run.scripts[0].push_back(ScriptOp{spec.aop, spec.aop_arg});
+  }
+  run.scripts[1].assign((k + 2) / 2, ScriptOp{spec.aop, spec.aop_arg, t});
+  run.calls = {Call{t + quarter, 2, spec.mutator_op, spec.mutator_arg}};
+  const sim::RunRecord safe_run = harness::execute(type, run).record;
   const bool safe_live = lin::check_linearizability(type, safe_run).linearizable;
   const sim::RunRecord safe_shifted = shift_run(safe_run, x);
   const AdmissibilityReport safe_adm = check_admissibility(safe_shifted);
@@ -326,13 +249,19 @@ ExperimentResult theorem3_last_sensitive(const adt::DataType& type, const Theore
           x[static_cast<std::size_t>(i)] - x[static_cast<std::size_t>(jj)];
     }
   }
-  auto delays = std::make_shared<sim::MatrixDelay>(shifted_matrix);
+  TimingPolicy unsafe = TimingPolicy::standard(params, /*X=*/0);
+  unsafe.mop_respond = spec.unsafe_fraction * bound;
+  result.unsafe_latency = unsafe.mop_respond;
 
-  std::vector<Time> offsets(static_cast<std::size_t>(params.n), 0.0);
-  for (int i = 0; i < params.n; ++i) offsets[static_cast<std::size_t>(i)] = -x[static_cast<std::size_t>(i)];
+  harness::RunSpec run = algorithm_one_run(params, unsafe, spec.rho);
+  run.delays = std::make_shared<sim::MatrixDelay>(shifted_matrix);
+  for (const Time xi : x) run.clock_offsets.push_back(-xi);
 
   const Time t = quiescence_bound(params, spec.rho.size()) + params.u;
   const Time t_probe = t + 3 * (params.d + params.u + params.eps + 1);
+  for (const auto& step : spec.probe) {
+    run.scripts[0].push_back(ScriptOp{step.op, step.arg, t_probe});
+  }
 
   // A tiny per-process stagger makes the timestamp order strictly
   // increasing in the process id (the proof gets the same effect from the
@@ -340,27 +269,15 @@ ExperimentResult theorem3_last_sensitive(const adt::DataType& type, const Theore
   // explicit margin is the robust way to pin last(pi) = p_{k-1}).  gamma is
   // five orders of magnitude below every bound margin in the construction.
   const Time gamma = 1e-6;
-  std::vector<TimedCall> calls;
   for (int i = 0; i < k; ++i) {
-    calls.push_back(
-        TimedCall{t + x[static_cast<std::size_t>(i)] + i * gamma, static_cast<ProcId>(i),
-                  spec.op, spec.args[static_cast<std::size_t>(i)]});
+    run.calls.push_back(Call{t + x[static_cast<std::size_t>(i)] + i * gamma,
+                             static_cast<ProcId>(i), spec.op,
+                             spec.args[static_cast<std::size_t>(i)]});
   }
 
   std::ostringstream details;
 
-  auto run_with = [&](const TimingPolicy& timing) {
-    std::vector<TimedScript> scripts;
-    if (!spec.rho.empty()) scripts.push_back(TimedScript{0, 0, spec.rho});
-    scripts.push_back(TimedScript{t_probe, 0, spec.probe});
-    return run_algorithm_one(type, params, timing, offsets, delays, calls, scripts);
-  };
-
-  TimingPolicy unsafe = TimingPolicy::standard(params, /*X=*/0);
-  unsafe.mop_respond = spec.unsafe_fraction * bound;
-  result.unsafe_latency = unsafe.mop_respond;
-
-  const sim::RunRecord unsafe_run = run_with(unsafe);
+  const sim::RunRecord unsafe_run = harness::execute(type, run).record;
   const auto unsafe_check = lin::check_linearizability(type, unsafe_run);
   result.unsafe_violated = !unsafe_check.linearizable;
   {
@@ -387,10 +304,10 @@ ExperimentResult theorem3_last_sensitive(const adt::DataType& type, const Theore
   details << "unsafe run linearizable: " << (unsafe_check.linearizable ? "yes (unexpected)" : "NO (violation as proven)")
           << "\n";
 
-  TimingPolicy safe = TimingPolicy::standard(params, /*X=*/0);
-  const sim::RunRecord safe_run = run_with(safe);
+  run.timing = TimingPolicy::standard(params, /*X=*/0);
+  const sim::RunRecord safe_run = harness::execute(type, run).record;
   result.safe_survived = lin::check_linearizability(type, safe_run).linearizable;
-  details << "standard Algorithm 1 (|MOP| = eps = " << safe.mop_respond
+  details << "standard Algorithm 1 (|MOP| = eps = " << run.timing->mop_respond
           << "): " << (result.safe_survived ? "linearizable" : "VIOLATED") << "\n";
 
   result.details = details.str();
@@ -431,10 +348,16 @@ ExperimentResult theorem4_pair_free(const adt::DataType& type, const Theorem4Spe
                 "::" + spec.op + ")";
   result.bound = params.d + m;
 
-  auto delays = std::make_shared<sim::MatrixDelay>(theorem4_matrix(params));
+  // Unsafe: |OOP| = d + m/2, strictly between the previously known bound d
+  // and the paper's new bound d + m.
+  TimingPolicy unsafe = TimingPolicy::standard(params, /*X=*/0);
+  unsafe.execute_delay = params.u + m / 2;
+  result.unsafe_latency = unsafe.oop_bound();
 
-  std::vector<Time> offsets(static_cast<std::size_t>(params.n), 0.0);
-  offsets[0] = -m;  // the proof's C_0
+  harness::RunSpec run = algorithm_one_run(params, unsafe, spec.rho);
+  run.delays = std::make_shared<sim::MatrixDelay>(theorem4_matrix(params));
+  run.clock_offsets.assign(static_cast<std::size_t>(params.n), 0.0);
+  run.clock_offsets[0] = -m;  // the proof's C_0
 
   const Time t = quiescence_bound(params, spec.rho.size()) + m + 1;
 
@@ -442,23 +365,11 @@ ExperimentResult theorem4_pair_free(const adt::DataType& type, const Theorem4Spe
   // op0 first; the explicit gamma margin makes this robust to
   // floating-point rounding of the otherwise exactly-tied clock values.
   const Time gamma = 1e-6;
-  std::vector<TimedCall> calls = {
-      TimedCall{t, 1, spec.op, spec.arg1},
-      TimedCall{t + m - gamma, 0, spec.op, spec.arg0},
-  };
-  std::vector<TimedScript> scripts;
-  if (!spec.rho.empty()) scripts.push_back(TimedScript{0, 0, spec.rho});
+  run.calls = {Call{t, 1, spec.op, spec.arg1}, Call{t + m - gamma, 0, spec.op, spec.arg0}};
 
   std::ostringstream details;
 
-  // Unsafe: |OOP| = d + m/2, strictly between the previously known bound d
-  // and the paper's new bound d + m.
-  TimingPolicy unsafe = TimingPolicy::standard(params, /*X=*/0);
-  unsafe.execute_delay = params.u + m / 2;
-  result.unsafe_latency = unsafe.oop_bound();
-
-  const sim::RunRecord unsafe_run =
-      run_algorithm_one(type, params, unsafe, offsets, delays, calls, scripts);
+  const sim::RunRecord unsafe_run = harness::execute(type, run).record;
   const auto unsafe_check = lin::check_linearizability(type, unsafe_run);
   result.unsafe_violated = !unsafe_check.linearizable;
   {
@@ -473,11 +384,10 @@ ExperimentResult theorem4_pair_free(const adt::DataType& type, const Theorem4Spe
   details << "unsafe run (|OOP| = " << result.unsafe_latency << ") linearizable: "
           << (unsafe_check.linearizable ? "yes (unexpected)" : "NO (violation as proven)") << "\n";
 
-  TimingPolicy safe = TimingPolicy::standard(params, /*X=*/0);
-  const sim::RunRecord safe_run =
-      run_algorithm_one(type, params, safe, offsets, delays, calls, scripts);
+  run.timing = TimingPolicy::standard(params, /*X=*/0);
+  const sim::RunRecord safe_run = harness::execute(type, run).record;
   result.safe_survived = lin::check_linearizability(type, safe_run).linearizable;
-  details << "standard Algorithm 1 (|OOP| = " << safe.oop_bound()
+  details << "standard Algorithm 1 (|OOP| = " << run.timing->oop_bound()
           << "): " << (result.safe_survived ? "linearizable" : "VIOLATED") << "\n";
 
   result.details = details.str();
@@ -493,25 +403,18 @@ ChopDemoResult theorem4_chop_demo(const adt::DataType& type, const Theorem4Spec&
   ChopDemoResult result;
   std::ostringstream details;
 
-  // The proof's R2: offsets C_1 = (0, -m, 0, ...), delays D^1, p0 invokes
-  // OP(arg0) at t, p1 invokes OP(arg1) at t + m.
-  std::vector<Time> offsets(static_cast<std::size_t>(params.n), 0.0);
-  offsets[1] = -m;
-  auto delays = std::make_shared<sim::MatrixDelay>(theorem4_matrix(params));
-
-  const Time t = quiescence_bound(params, spec.rho.size()) + m + 1;
-  std::vector<TimedCall> calls = {
-      TimedCall{t, 0, spec.op, spec.arg0},
-      TimedCall{t + m, 1, spec.op, spec.arg1},
-  };
-  std::vector<TimedScript> scripts;
-  if (!spec.rho.empty()) scripts.push_back(TimedScript{0, 0, spec.rho});
-
   TimingPolicy unsafe = TimingPolicy::standard(params, /*X=*/0);
   unsafe.execute_delay = params.u + m / 2;  // |OOP| = d + m/2 < d + m
 
-  const sim::RunRecord r2 =
-      run_algorithm_one(type, params, unsafe, offsets, delays, calls, scripts);
+  // The proof's R2: offsets C_1 = (0, -m, 0, ...), delays D^1, p0 invokes
+  // OP(arg0) at t, p1 invokes OP(arg1) at t + m.
+  harness::RunSpec run = algorithm_one_run(params, unsafe, spec.rho);
+  run.clock_offsets.assign(static_cast<std::size_t>(params.n), 0.0);
+  run.clock_offsets[1] = -m;
+  run.delays = std::make_shared<sim::MatrixDelay>(theorem4_matrix(params));
+  const Time t = quiescence_bound(params, spec.rho.size()) + m + 1;
+  run.calls = {Call{t, 0, spec.op, spec.arg0}, Call{t + m, 1, spec.op, spec.arg1}};
+  const sim::RunRecord r2 = harness::execute(type, run).record;
 
   // Step 3 of the proof: shift p1 earlier by m.  Message delays from p1 to
   // p0 become d + m -- the single invalid edge (Figure 4).
@@ -602,13 +505,6 @@ ExperimentResult theorem5_sum(const adt::DataType& type, const Theorem5Spec& spe
                 spec.op + " + " + spec.aop + ")";
   result.bound = params.d + m;
 
-  auto delays = std::make_shared<sim::MatrixDelay>(theorem5_matrix(params));
-
-  std::vector<Time> offsets(static_cast<std::size_t>(params.n), 0.0);
-  offsets[1] = -m;  // the shifted run's C_2
-
-  const Time t = quiescence_bound(params, spec.rho.size()) + m + 1;
-
   // Unsafe split: |OP| = m/2, |AOP| = d - m; sum = d - m/2 < d <= d + m.
   TimingPolicy unsafe = TimingPolicy::standard(params, /*X=*/0);
   unsafe.mop_respond = m / 2;
@@ -616,21 +512,23 @@ ExperimentResult theorem5_sum(const adt::DataType& type, const Theorem5Spec& spe
   unsafe.aop_backdate = 0;
   result.unsafe_latency = unsafe.mop_respond + unsafe.aop_respond;
 
-  const Time t_aop = t + unsafe.mop_respond + m / 4;
+  harness::RunSpec run = algorithm_one_run(params, unsafe, spec.rho);
+  run.delays = std::make_shared<sim::MatrixDelay>(theorem5_matrix(params));
+  run.clock_offsets.assign(static_cast<std::size_t>(params.n), 0.0);
+  run.clock_offsets[1] = -m;  // the shifted run's C_2
 
-  std::vector<TimedCall> calls = {
-      TimedCall{t, 0, spec.op, spec.arg0},
-      TimedCall{t, 1, spec.op, spec.arg1},
-      TimedCall{t_aop, 0, spec.aop, spec.aop_arg},
-      TimedCall{t_aop, 2, spec.aop, spec.aop_arg},
+  const Time t = quiescence_bound(params, spec.rho.size()) + m + 1;
+  // Both mutators at t, then the accessors at p0 and p2 at t_aop.
+  const auto schedule = [&](Time t_aop) {
+    return std::vector<Call>{Call{t, 0, spec.op, spec.arg0}, Call{t, 1, spec.op, spec.arg1},
+                             Call{t_aop, 0, spec.aop, spec.aop_arg},
+                             Call{t_aop, 2, spec.aop, spec.aop_arg}};
   };
-  std::vector<TimedScript> scripts;
-  if (!spec.rho.empty()) scripts.push_back(TimedScript{0, 0, spec.rho});
+  run.calls = schedule(t + unsafe.mop_respond + m / 4);
 
   std::ostringstream details;
 
-  const sim::RunRecord unsafe_run =
-      run_algorithm_one(type, params, unsafe, offsets, delays, calls, scripts);
+  const sim::RunRecord unsafe_run = harness::execute(type, run).record;
   const auto unsafe_check = lin::check_linearizability(type, unsafe_run);
   result.unsafe_violated = !unsafe_check.linearizable;
   {
@@ -677,17 +575,11 @@ ExperimentResult theorem5_sum(const adt::DataType& type, const Theorem5Spec& spe
   // take d - X and MOPs X + eps; with X = 0 the accessor calls at t_aop are
   // fine (the mutators responded at t + eps <= t_aop requires eps <= m/2 +
   // m/4 -- not guaranteed), so give the safe run its own valid schedule:
-  // accessors issued closed-loop after the mutators complete.
+  // the accessors are invoked m/4 after the standard mutators respond.
   TimingPolicy safe = TimingPolicy::standard(params, /*X=*/0);
-  const Time t_aop_safe = t + safe.mop_respond + m / 4;
-  std::vector<TimedCall> safe_calls = {
-      TimedCall{t, 0, spec.op, spec.arg0},
-      TimedCall{t, 1, spec.op, spec.arg1},
-      TimedCall{t_aop_safe, 0, spec.aop, spec.aop_arg},
-      TimedCall{t_aop_safe, 2, spec.aop, spec.aop_arg},
-  };
-  const sim::RunRecord safe_run =
-      run_algorithm_one(type, params, safe, offsets, delays, safe_calls, scripts);
+  run.timing = safe;
+  run.calls = schedule(t + safe.mop_respond + m / 4);
+  const sim::RunRecord safe_run = harness::execute(type, run).record;
   result.safe_survived = lin::check_linearizability(type, safe_run).linearizable;
   details << "standard Algorithm 1 (sum = " << safe.mop_bound() + safe.aop_bound()
           << "): " << (result.safe_survived ? "linearizable" : "VIOLATED") << "\n";
@@ -712,28 +604,19 @@ ChopDemoResult theorem5_chop_demo(const adt::DataType& type, const Theorem5Spec&
 
   // The proof's R1: offsets all 0, delays per Figure 8, OP at p0 and p1 at
   // t, accessors at p0/p1 at t_max and at p2 at t_max + m.
-  auto delays = std::make_shared<sim::MatrixDelay>(theorem5_matrix(params));
-
   TimingPolicy unsafe = TimingPolicy::standard(params, /*X=*/0);
   unsafe.mop_respond = m / 2;
   unsafe.aop_respond = params.d - m;
   unsafe.aop_backdate = 0;
 
+  harness::RunSpec run = algorithm_one_run(params, unsafe, spec.rho);
+  run.delays = std::make_shared<sim::MatrixDelay>(theorem5_matrix(params));
   const Time t = quiescence_bound(params, spec.rho.size()) + m + 1;
   const Time t_max = t + unsafe.mop_respond;
-
-  std::vector<TimedCall> calls = {
-      TimedCall{t, 0, spec.op, spec.arg0},
-      TimedCall{t, 1, spec.op, spec.arg1},
-      TimedCall{t_max, 0, spec.aop, spec.aop_arg},
-      TimedCall{t_max, 1, spec.aop, spec.aop_arg},
-      TimedCall{t_max + m, 2, spec.aop, spec.aop_arg},
-  };
-  std::vector<TimedScript> scripts;
-  if (!spec.rho.empty()) scripts.push_back(TimedScript{0, 0, spec.rho});
-
-  const sim::RunRecord r1 =
-      run_algorithm_one(type, params, unsafe, {}, delays, calls, scripts);
+  run.calls = {Call{t, 0, spec.op, spec.arg0}, Call{t, 1, spec.op, spec.arg1},
+               Call{t_max, 0, spec.aop, spec.aop_arg}, Call{t_max, 1, spec.aop, spec.aop_arg},
+               Call{t_max + m, 2, spec.aop, spec.aop_arg}};
+  const sim::RunRecord r1 = harness::execute(type, run).record;
 
   // Shift p1 later by m: the single invalid edge becomes p1->p0 = d - 2m
   // (Figure 10).
@@ -805,9 +688,6 @@ ExperimentResult interference_sum(const adt::DataType& type, const InterferenceS
                 "| >= d (" + type.name() + ")";
   result.bound = params.d;
 
-  using core::TimingPolicy;
-  using harness::ScriptOp;
-
   // Unsafe split: mutator at fraction/3 of d, accessor at 2*fraction/3.
   TimingPolicy unsafe = TimingPolicy::standard(params, /*X=*/0);
   const double s1 = spec.unsafe_fraction * params.d / 3.0;
@@ -824,29 +704,22 @@ ExperimentResult interference_sum(const adt::DataType& type, const InterferenceS
   unsafe.aop_backdate = 0;
   result.unsafe_latency = s1 + s2;
 
-  const double t = (static_cast<double>(spec.rho.size()) + 1.0) *
-                   (params.d + params.u + params.eps + 1.0);
+  const double t = quiescence_bound(params, spec.rho.size());
 
   // Mutator at p0 completes, accessor at p1 starts right after; under the
   // max-delay adversary the announcement arrives at p1 only at t + d, after
   // the accessor responded at t + s1 + gamma + s2 < t + d.
-  std::vector<sim::Time> offsets;
-  auto delays = std::make_shared<sim::ConstantDelay>(params.d);
   const double gamma = (params.d - result.unsafe_latency) / 4;
-
-  std::vector<harness::ScriptOp> rho = spec.rho;
   auto run_with = [&](const TimingPolicy& timing) {
-    std::vector<TimedCall> calls = {
-        TimedCall{t, 0, spec.mutator_op, spec.mutator_arg},
-    };
+    harness::RunSpec run = algorithm_one_run(params, timing, spec.rho);
+    run.delays = std::make_shared<sim::ConstantDelay>(params.d);
     // The accessor starts after the mutator's response under either policy:
     // schedule it at t + (that policy's mutator latency) + gamma.
     const double mutator_latency =
         (mutator_cat == adt::OpCategory::kPureMutator) ? timing.mop_bound() : timing.oop_bound();
-    calls.push_back(TimedCall{t + mutator_latency + gamma, 1, spec.aop, spec.aop_arg});
-    std::vector<TimedScript> scripts;
-    if (!rho.empty()) scripts.push_back(TimedScript{0, 0, rho});
-    return run_algorithm_one(type, params, timing, offsets, delays, calls, scripts);
+    run.calls = {Call{t, 0, spec.mutator_op, spec.mutator_arg},
+                 Call{t + mutator_latency + gamma, 1, spec.aop, spec.aop_arg}};
+    return harness::execute(type, run).record;
   };
 
   std::ostringstream details;
@@ -909,8 +782,6 @@ Theorem4Pipeline theorem4_full_pipeline(const adt::DataType& type, const Theorem
   params.validate();
   if (params.n < 3) throw std::invalid_argument("theorem4_full_pipeline: needs n >= 3");
 
-  using core::TimingPolicy;
-
   Theorem4Pipeline result;
   std::ostringstream details;
 
@@ -922,10 +793,11 @@ Theorem4Pipeline theorem4_full_pipeline(const adt::DataType& type, const Theorem
   const double L = unsafe.oop_bound();
 
   const double t = quiescence_bound(params, spec.rho.size()) + m + 1;
-  std::vector<TimedScript> scripts;
-  if (!spec.rho.empty()) scripts.push_back(TimedScript{0, 0, spec.rho});
-
   const auto n = static_cast<std::size_t>(params.n);
+
+  // Each of R1..R5 is the unsafe algorithm under its own offsets, delay
+  // matrix and calls.
+  const harness::RunSpec base = algorithm_one_run(params, unsafe, spec.rho);
 
   // The proof's D^1 (Figure 2).
   auto d1 = theorem4_matrix(params);
@@ -951,19 +823,16 @@ Theorem4Pipeline theorem4_full_pipeline(const adt::DataType& type, const Theorem
   // ---- R1: solo op0 at p0, offsets C1 = (0, -m, 0...), delays D^1.
   std::vector<double> c1(n, 0.0);
   c1[1] = -m;
-  const sim::RunRecord r1 = run_algorithm_one(
-      type, params, unsafe, c1, std::make_shared<sim::MatrixDelay>(d1),
-      {TimedCall{t, 0, spec.op, spec.arg0}}, scripts);
+  const sim::RunRecord r1 = run_under(type, base, c1, d1, {Call{t, 0, spec.op, spec.arg0}});
   for (const auto& op : r1.ops) {
     if (op.proc == 0 && op.op == spec.op) result.ret0_solo = op.ret;
   }
   details << "R1: p0 solo " << spec.op << " -> " << result.ret0_solo.to_string() << "\n";
 
   // ---- R2: R1 plus op1 at p1 at t+m.
-  const sim::RunRecord r2 = run_algorithm_one(
-      type, params, unsafe, c1, std::make_shared<sim::MatrixDelay>(d1),
-      {TimedCall{t, 0, spec.op, spec.arg0}, TimedCall{t + m + gamma, 1, spec.op, spec.arg1}},
-      scripts);
+  const sim::RunRecord r2 = run_under(
+      type, base, c1, d1,
+      {Call{t, 0, spec.op, spec.arg0}, Call{t + m + gamma, 1, spec.op, spec.arg1}});
   adt::Value ret0_r2, ret1_prime;
   double p0_resp_r2 = t + params.d + m;
   for (const auto& op : r2.ops) {
@@ -986,10 +855,9 @@ Theorem4Pipeline theorem4_full_pipeline(const adt::DataType& type, const Theorem
           << (result.claim4_view_identity ? "HOLDS" : "FAILS") << "\n";
 
   // ---- R3: offsets 0, delays D^3, both ops at t (op1 gamma-later).
-  const sim::RunRecord r3 = run_algorithm_one(
-      type, params, unsafe, std::vector<double>(n, 0.0), std::make_shared<sim::MatrixDelay>(d3),
-      {TimedCall{t, 0, spec.op, spec.arg0}, TimedCall{t + gamma, 1, spec.op, spec.arg1}},
-      scripts);
+  const sim::RunRecord r3 =
+      run_under(type, base, std::vector<double>(n, 0.0), d3,
+                {Call{t, 0, spec.op, spec.arg0}, Call{t + gamma, 1, spec.op, spec.arg1}});
   adt::Value ret0_r3, ret1_r3;
   for (const auto& op : r3.ops) {
     if (op.invoke_real < t - 0.5) continue;
@@ -1002,10 +870,9 @@ Theorem4Pipeline theorem4_full_pipeline(const adt::DataType& type, const Theorem
   // ---- R4: offsets C0 = (-m, 0...), delays D^4, op1 at t, op0 at t+m.
   std::vector<double> c0(n, 0.0);
   c0[0] = -m;
-  const sim::RunRecord r4 = run_algorithm_one(
-      type, params, unsafe, c0, std::make_shared<sim::MatrixDelay>(d4),
-      {TimedCall{t, 1, spec.op, spec.arg1}, TimedCall{t + m - gamma, 0, spec.op, spec.arg0}},
-      scripts);
+  const sim::RunRecord r4 = run_under(
+      type, base, c0, d4,
+      {Call{t, 1, spec.op, spec.arg1}, Call{t + m - gamma, 0, spec.op, spec.arg0}});
   adt::Value ret0_r4, ret1_r4;
   double p1_resp_r4 = t + L;
   for (const auto& op : r4.ops) {
@@ -1018,9 +885,7 @@ Theorem4Pipeline theorem4_full_pipeline(const adt::DataType& type, const Theorem
   }
 
   // ---- R5: R4 without op0.
-  const sim::RunRecord r5 = run_algorithm_one(
-      type, params, unsafe, c0, std::make_shared<sim::MatrixDelay>(d4),
-      {TimedCall{t, 1, spec.op, spec.arg1}}, scripts);
+  const sim::RunRecord r5 = run_under(type, base, c0, d4, {Call{t, 1, spec.op, spec.arg1}});
   adt::Value ret1_r5;
   for (const auto& op : r5.ops) {
     if (op.invoke_real < t - 0.5) continue;
@@ -1063,8 +928,6 @@ Theorem5Pipeline theorem5_full_pipeline(const adt::DataType& type, const Theorem
   params.validate();
   if (params.n < 3) throw std::invalid_argument("theorem5_full_pipeline: needs n >= 3");
 
-  using core::TimingPolicy;
-
   Theorem5Pipeline result;
   std::ostringstream details;
 
@@ -1083,20 +946,20 @@ Theorem5Pipeline theorem5_full_pipeline(const adt::DataType& type, const Theorem
   // Strictly after both mutators' responses (op1 is invoked gamma late, so
   // its response lands at t + gamma + s_m).
   const double t_max = t + s_m + 2 * gamma;
-  std::vector<TimedScript> scripts;
-  if (!spec.rho.empty()) scripts.push_back(TimedScript{0, 0, spec.rho});
+
+  // Each of R1..R3 is the unsafe algorithm under its own offsets, delay
+  // matrix and calls.
+  const harness::RunSpec base = algorithm_one_run(params, unsafe, spec.rho);
 
   // ---- R1: the proof's Figure 8 run, offsets 0, delays D (into p0/p1: d-m,
   // else d).  p0's mutator gets the gamma-smaller timestamp, pinning the
   // linearization order the reversed-role case assumes.
   const auto d_r1 = theorem5_matrix(params);
-  const sim::RunRecord r1 = run_algorithm_one(
-      type, params, unsafe, std::vector<double>(n, 0.0),
-      std::make_shared<sim::MatrixDelay>(d_r1),
-      {TimedCall{t, 0, spec.op, spec.arg0}, TimedCall{t + gamma, 1, spec.op, spec.arg1},
-       TimedCall{t_max, 0, spec.aop, spec.aop_arg}, TimedCall{t_max, 1, spec.aop, spec.aop_arg},
-       TimedCall{t_max + m, 2, spec.aop, spec.aop_arg}},
-      scripts);
+  const sim::RunRecord r1 =
+      run_under(type, base, std::vector<double>(n, 0.0), d_r1,
+          {Call{t, 0, spec.op, spec.arg0}, Call{t + gamma, 1, spec.op, spec.arg1},
+           Call{t_max, 0, spec.aop, spec.aop_arg}, Call{t_max, 1, spec.aop, spec.aop_arg},
+           Call{t_max + m, 2, spec.aop, spec.aop_arg}});
   result.r1_linearizable = lin::check_linearizability(type, r1).linearizable;
   details << "R1 linearizable: " << (result.r1_linearizable ? "yes" : "NO") << "\n";
 
@@ -1110,27 +973,18 @@ Theorem5Pipeline theorem5_full_pipeline(const adt::DataType& type, const Theorem
   std::vector<double> c_r2(n, 0.0);
   c_r2[0] = -m;
 
-  const std::vector<TimedCall> r2_calls = {
-      TimedCall{t + m, 0, spec.op, spec.arg0},  // shifted later by m
-      TimedCall{t + gamma, 1, spec.op, spec.arg1},
-      TimedCall{t_max + m, 0, spec.aop, spec.aop_arg},
-      TimedCall{t_max, 1, spec.aop, spec.aop_arg},
-      TimedCall{t_max + m, 2, spec.aop, spec.aop_arg},
+  std::vector<Call> calls = {
+      Call{t + m, 0, spec.op, spec.arg0},  // shifted later by m
+      Call{t + gamma, 1, spec.op, spec.arg1},
+      Call{t_max + m, 0, spec.aop, spec.aop_arg},
+      Call{t_max, 1, spec.aop, spec.aop_arg},
+      Call{t_max + m, 2, spec.aop, spec.aop_arg},
   };
-  const sim::RunRecord r2 = run_algorithm_one(type, params, unsafe, c_r2,
-                                              std::make_shared<sim::MatrixDelay>(d_r2),
-                                              r2_calls, scripts);
+  const sim::RunRecord r2 = run_under(type, base, c_r2, d_r2, calls);
 
   // ---- R3: R2 without p0's mutator.
-  const std::vector<TimedCall> r3_calls = {
-      TimedCall{t + gamma, 1, spec.op, spec.arg1},
-      TimedCall{t_max + m, 0, spec.aop, spec.aop_arg},
-      TimedCall{t_max, 1, spec.aop, spec.aop_arg},
-      TimedCall{t_max + m, 2, spec.aop, spec.aop_arg},
-  };
-  const sim::RunRecord r3 = run_algorithm_one(type, params, unsafe, c_r2,
-                                              std::make_shared<sim::MatrixDelay>(d_r2),
-                                              r3_calls, scripts);
+  calls.erase(calls.begin());
+  const sim::RunRecord r3 = run_under(type, base, c_r2, d_r2, calls);
 
   // p1's accessor in R2 answers without having heard op0 (the repaired d
   // delay makes p0's announcement arrive only at t+m+d).

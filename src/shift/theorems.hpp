@@ -7,7 +7,8 @@
 // offsets, invocation times).  The linearizability checker then certifies
 // the violation.  Each experiment also runs the *standard* Algorithm 1 under
 // the same adversary and certifies it survives, so the violation is
-// attributable to timing alone.
+// attributable to timing alone.  Every run is a harness::RunSpec with an
+// explicit timing policy, executed by harness::execute.
 //
 // Theorem 2 additionally exercises the classic shifting technique on the
 // recorded run (shift, admissibility re-check, re-check linearizability),

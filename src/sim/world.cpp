@@ -4,6 +4,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "adt/data_type.hpp"
@@ -370,13 +371,17 @@ void World::dispatch_impl(EventKind kind, ProcId proc, std::uint64_t id,
     return;
   }
 
-  StepRecord step;
+  // Only the kFull instantiation builds a StepRecord; the slim one carries
+  // an empty placeholder and hands the handlers a null step.
+  struct NoStep {};
+  [[maybe_unused]] std::conditional_t<kFull, StepRecord, NoStep> step;
+  StepRecord* step_ptr = nullptr;
   if constexpr (kFull) {
     step.proc = proc;
     step.real_time = now_;
     step.clock_time = snap(now_ * config_.clock_rates[pi] + config_.clock_offsets[pi]);
+    step_ptr = &step;
   }
-  StepRecord* step_ptr = kFull ? &step : nullptr;
 
   switch (kind) {
     case EventKind::kInvoke: {

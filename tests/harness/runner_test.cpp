@@ -85,6 +85,58 @@ TEST(RunnerTest, ScriptGapSpacesInvocations) {
                    result.record.ops[0].response_real + 5.0);
 }
 
+// An open-loop call at a process that also runs a script must not advance
+// the script: the read at p0 answers at d = 10, long before write(1) is due.
+TEST(RunnerTest, OpenLoopResponseDoesNotAdvanceScript) {
+  adt::RegisterType reg;
+  RunSpec spec;
+  spec.params = sim::ModelParams{3, 10.0, 2.0, 0.0};
+  spec.params.eps = spec.params.optimal_eps();
+  spec.scripts = {{{"write", Value{1}}, {"write", Value{2}}}, {}, {}};
+  spec.script_start = 30;
+  spec.calls = {Call{0.0, 0, "read", Value::nil()}};
+  const auto result = harness::execute(reg, spec);
+  const auto& ops = result.record.ops;
+  ASSERT_EQ(ops.size(), 3u);
+  EXPECT_EQ(ops[0].op, "read");
+  EXPECT_DOUBLE_EQ(ops[0].response_real, 10.0);
+  // write(1) at script_start, write(2) right after its response; |MOP| = eps.
+  EXPECT_EQ(ops[1].arg, Value{1});
+  EXPECT_DOUBLE_EQ(ops[1].invoke_real, 30.0);
+  EXPECT_NEAR(ops[1].response_real, 30.0 + spec.params.eps, 1e-9);
+  EXPECT_EQ(ops[2].arg, Value{2});
+  EXPECT_DOUBLE_EQ(ops[2].invoke_real, ops[1].response_real);
+  EXPECT_NEAR(ops[2].response_real, 30.0 + 2 * spec.params.eps, 1e-9);
+}
+
+// not_before starts a script late (p1), chains a second script behind a
+// first at one process (p0's read), and is moot once it has passed (p2).
+TEST(RunnerTest, NotBeforeSetsEarliestInvocation) {
+  adt::RegisterType reg;
+  RunSpec spec;
+  spec.params = sim::ModelParams{3, 10.0, 2.0, 1.0};
+  spec.script_start = 5;
+  spec.scripts = {
+      {{"write", Value{1}}, {"read", Value::nil(), 100.0}},
+      {{"write", Value{2}, 40.0}},
+      {{"read", Value::nil()}, {"read", Value::nil(), 1.0}},
+  };
+  const auto result = harness::execute(reg, spec);
+  std::vector<std::vector<sim::OpRecord>> by_proc(3);
+  for (const auto& op : result.record.ops) {
+    by_proc[static_cast<std::size_t>(op.proc)].push_back(op);
+  }
+  ASSERT_EQ(by_proc[0].size(), 2u);
+  EXPECT_DOUBLE_EQ(by_proc[0][0].invoke_real, 5.0);
+  EXPECT_DOUBLE_EQ(by_proc[0][1].invoke_real, 100.0);
+  EXPECT_EQ(by_proc[0][1].ret, Value{2});  // p1's write(2) landed before the probe
+  ASSERT_EQ(by_proc[1].size(), 1u);
+  EXPECT_DOUBLE_EQ(by_proc[1][0].invoke_real, 40.0);
+  ASSERT_EQ(by_proc[2].size(), 2u);
+  EXPECT_DOUBLE_EQ(by_proc[2][0].invoke_real, 5.0);
+  EXPECT_DOUBLE_EQ(by_proc[2][1].invoke_real, by_proc[2][0].response_real);
+}
+
 TEST(RunnerTest, ScriptSizeMismatchThrows) {
   adt::QueueType queue;
   RunSpec spec;
