@@ -42,27 +42,20 @@ sim::RunRecord boundary_schedule(bool timers_first) {
 
 sim::RunRecord backdate_schedule(double backdate) {
   adt::QueueType queue;
-  sim::WorldConfig config;
-  config.params = sim::ModelParams{3, 10.0, 2.0, 1.5};
-  config.delays = std::make_shared<sim::FunctionDelay>(
+  harness::RunSpec spec;
+  spec.params = sim::ModelParams{3, 10.0, 2.0, 1.5};
+  spec.delays = std::make_shared<sim::FunctionDelay>(
       [](sim::ProcId src, sim::ProcId, sim::Time, std::uint64_t) {
         return src == 1 ? 10.0 : 8.0;
       });
-  core::TimingPolicy timing = core::TimingPolicy::standard(config.params, 2.0);
-  timing.aop_backdate = backdate;
-  config.type = &queue;
-  sim::World world(config, [&](sim::ProcId) {
-    return std::make_unique<core::AlgorithmOneProcess>(queue, timing);
-  });
-  const auto enq = queue.op_id("enqueue");
-  const auto deq = queue.op_id("dequeue");
-  world.invoke_at(49.0, 1, enq, Value{1});
-  world.invoke_at(49.5, 2, enq, Value{2});
-  world.invoke_at(50.0, 0, queue.op_id("peek"), Value::nil());
-  world.invoke_at(90.0, 1, deq, Value::nil());
-  world.invoke_at(92.0, 0, deq, Value::nil());
-  world.run();
-  return world.record();
+  spec.timing = core::TimingPolicy::standard(spec.params, 2.0);
+  spec.timing->aop_backdate = backdate;
+  spec.calls = {{49.0, 1, "enqueue", Value{1}},
+                {49.5, 2, "enqueue", Value{2}},
+                {50.0, 0, "peek", Value::nil()},
+                {90.0, 1, "dequeue", Value::nil()},
+                {92.0, 0, "dequeue", Value::nil()}};
+  return harness::execute(queue, spec).record;
 }
 
 }  // namespace

@@ -38,9 +38,9 @@ Dist pool(const campaign::CampaignResult& result, const std::string& algo, doubl
       if (k == "u" && std::stod(v) == u) match_u = true;
     }
     if (!match_algo || !match_u) continue;
-    const auto it = job.latency_samples.find(op);
-    if (it == job.latency_samples.end()) continue;
-    samples.insert(samples.end(), it->second.begin(), it->second.end());
+    const auto it = job.metrics.ops.find(op);
+    if (it == job.metrics.ops.end()) continue;
+    samples.insert(samples.end(), it->second.samples.begin(), it->second.samples.end());
   }
   Dist d;
   if (samples.empty()) return d;

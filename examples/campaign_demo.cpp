@@ -51,8 +51,7 @@ int main(int argc, char** argv) {
   std::printf("  %-28s %-14s %s\n", "job", "verdict", "mean latency per op");
   for (const auto& job : result.jobs) {
     std::string latencies;
-    for (const auto& [op, samples] : job.latency_samples) {
-      const auto m = campaign::reduce_samples(samples);
+    for (const auto& [op, m] : job.metrics.ops) {
       latencies += op + "=" + campaign::fmt_double(m.mean) + " ";
     }
     std::printf("  %-28s %-14s %s\n", job.name.c_str(), campaign::to_string(job.metrics.verdict),

@@ -47,7 +47,7 @@ int main() {
   }
 
   std::printf("\nper-operation latency (time units):\n");
-  for (const auto& [op, stats] : result.latency) {
+  for (const auto& [op, stats] : harness::latency_by_op(result.record)) {
     std::printf("  %-8s  count=%zu  min=%.2f  max=%.2f\n", op.c_str(), stats.count, stats.min,
                 stats.max);
   }

@@ -119,7 +119,7 @@ int main() {
   }
 
   std::printf("\nlatency by operation class:\n");
-  for (const auto& [op, stats] : result.latency) {
+  for (const auto& [op, stats] : harness::latency_by_op(result.record)) {
     std::printf("  %-4s  max=%.2f  (class bound: %s)\n", op.c_str(), stats.max,
                 op == "get"   ? "d-X = 8.0"
                 : op == "put" ? "X+eps = 3.5"

@@ -52,9 +52,6 @@ JobResult run_one(const Job& job, std::size_t index, bool keep_record) {
   try {
     result.run = harness::execute(*job.type, job.spec);
     result.metrics = reduce_record(result.run.record);
-    for (const auto& rec : result.run.record.ops) {
-      if (rec.complete()) result.latency_samples[rec.op].push_back(rec.latency());
-    }
     if (job.check_linearizability) {
       const auto check = lin::check(*job.type, result.run.record);
       result.metrics.verdict = check.result.linearizable ? JobMetrics::Verdict::kLinearizable
@@ -71,7 +68,6 @@ JobResult run_one(const Job& job, std::size_t index, bool keep_record) {
     result.error = e.what();
     result.run = harness::RunResult{};
     result.metrics = JobMetrics{};
-    result.latency_samples.clear();
   }
   return result;
 }
@@ -150,13 +146,13 @@ CampaignMetrics CampaignResult::aggregate() const {
     out.ops_complete += job.metrics.ops_complete;
     out.messages_sent += job.metrics.messages_sent;
     out.messages_dropped += job.metrics.messages_dropped;
-    for (const auto& [op, samples] : job.latency_samples) {
+    for (const auto& [op, metrics] : job.metrics.ops) {
       auto& dst = pooled[op];
-      dst.insert(dst.end(), samples.begin(), samples.end());
+      dst.insert(dst.end(), metrics.samples.begin(), metrics.samples.end());
     }
   }
   for (auto& [op, samples] : pooled) {
-    out.ops[op] = reduce_samples(std::move(samples));
+    out.ops[op] = harness::reduce_samples(std::move(samples));
   }
   return out;
 }

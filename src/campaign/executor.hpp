@@ -8,7 +8,6 @@
 
 #include <cstddef>
 #include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -27,13 +26,10 @@ struct JobResult {
   bool ok = false;     ///< run completed (and, if requested, was checked)
   std::string error;   ///< exception text when !ok
 
-  harness::RunResult run;  ///< record + per-op stats (empty when !ok)
-  JobMetrics metrics;      ///< reduced metrics, incl. verdict if checked
-
-  /// Raw latency samples per operation name (completed ops, in record
-  /// order).  Kept even when the full record is dropped, so campaign-level
-  /// percentiles pool exact samples rather than percentiles-of-percentiles.
-  std::map<std::string, std::vector<double>> latency_samples;
+  harness::RunResult run;  ///< record + final states (empty when !ok)
+  /// Reduced metrics, incl. verdict if checked.  Its per-op samples outlive
+  /// a dropped record, so campaign-level percentiles pool exact samples.
+  JobMetrics metrics;
 };
 
 struct CampaignResult {

@@ -1,73 +1,14 @@
 #include "campaign/metrics.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <stdexcept>
-
 namespace lintime::campaign {
-
-double percentile(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) throw std::invalid_argument("percentile: empty sample set");
-  if (q < 0.0 || q > 1.0) throw std::invalid_argument("percentile: q outside [0, 1]");
-  if (q == 0.0) return sorted.front();
-  // Nearest-rank: the smallest value with at least ceil(q * N) samples <= it.
-  const auto rank = static_cast<std::size_t>(
-      std::ceil(q * static_cast<double>(sorted.size())));
-  return sorted[rank - 1];
-}
-
-OpMetrics reduce_samples(std::vector<double> samples) {
-  OpMetrics out;
-  if (samples.empty()) return out;
-  std::sort(samples.begin(), samples.end());
-  out.count = samples.size();
-  out.min = samples.front();
-  out.max = samples.back();
-  double sum = 0;
-  for (const double s : samples) sum += s;
-  out.mean = sum / static_cast<double>(samples.size());
-  out.p50 = percentile(samples, 0.50);
-  out.p90 = percentile(samples, 0.90);
-  out.p99 = percentile(samples, 0.99);
-  return out;
-}
 
 JobMetrics reduce_record(const sim::RunRecord& record) {
   JobMetrics out;
+  out.ops = harness::latency_by_op(record);
   out.steps = record.steps.size();
   out.ops_invoked = record.ops.size();
+  for (const auto& [name, m] : out.ops) out.ops_complete += m.count;
   out.quiescence_time = record.last_time();
-
-  // Aggregate on the interned op id (dense integer index) when the record
-  // carries one; string keys only for records without ids (loaded traces).
-  // Names are resolved into the sorted output map once, at sink time.
-  struct Bucket {
-    std::string name;
-    std::vector<double> latencies;
-  };
-  std::vector<Bucket> by_id;
-  std::map<std::string, std::vector<double>> by_name;
-  for (const auto& op : record.ops) {
-    if (!op.complete()) continue;
-    ++out.ops_complete;
-    if (op.op_id.valid()) {
-      const auto idx = static_cast<std::size_t>(op.op_id.index());
-      if (idx >= by_id.size()) by_id.resize(idx + 1);
-      auto& bucket = by_id[idx];
-      if (bucket.latencies.empty()) bucket.name = op.op;
-      bucket.latencies.push_back(op.latency());
-    } else {
-      by_name[op.op].push_back(op.latency());
-    }
-  }
-  for (auto& bucket : by_id) {
-    if (bucket.latencies.empty()) continue;
-    out.ops[bucket.name] = reduce_samples(std::move(bucket.latencies));
-  }
-  for (auto& [name, latencies] : by_name) {
-    out.ops[name] = reduce_samples(std::move(latencies));
-  }
-
   out.messages_sent = record.messages.size();
   for (const auto& m : record.messages) {
     if (!m.received) ++out.messages_dropped;

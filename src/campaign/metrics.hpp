@@ -1,43 +1,26 @@
 #pragma once
 // Metrics: reductions from recorded runs to the numbers the paper's tables
 // and our BENCH_* artifacts report -- per-operation latency distributions
-// (min/mean/percentiles/max), message-traffic counters and linearizability
-// verdicts -- computable per job and poolable across a whole campaign.
-// Everything here is pure arithmetic on RunRecords, so metrics are as
-// deterministic as the runs they summarize.
+// (harness::latency_by_op, the one latency reduction), message-traffic
+// counters and linearizability verdicts -- computable per job and poolable
+// across a whole campaign.  Everything here is pure arithmetic on
+// RunRecords, so metrics are as deterministic as the runs they summarize.
 
 #include <cstddef>
 #include <map>
 #include <string>
-#include <vector>
 
+#include "harness/runner.hpp"
 #include "sim/run_record.hpp"
 
 namespace lintime::campaign {
 
-/// Latency distribution of one operation name.  Percentiles use the
-/// nearest-rank definition on the sorted sample set (exact, no
-/// interpolation), so they are stable under re-aggregation ordering.
-struct OpMetrics {
-  std::size_t count = 0;
-  double min = 0;
-  double mean = 0;
-  double p50 = 0;
-  double p90 = 0;
-  double p99 = 0;
-  double max = 0;
-};
-
-/// Computes nearest-rank percentile q in [0, 1] of `sorted` (ascending).
-/// Throws std::invalid_argument on an empty sample set or q outside [0, 1].
-[[nodiscard]] double percentile(const std::vector<double>& sorted, double q);
-
-/// Reduces a set of latency samples; `samples` need not be pre-sorted.
-[[nodiscard]] OpMetrics reduce_samples(std::vector<double> samples);
+/// Kept only because perfbench/ names it campaign::percentile.
+using harness::percentile;
 
 /// What one job's run boiled down to.
 struct JobMetrics {
-  std::map<std::string, OpMetrics> ops;  ///< by operation name; complete ops only
+  std::map<std::string, harness::OpMetrics> ops;  ///< harness::latency_by_op of the record
 
   std::size_t ops_invoked = 0;
   std::size_t ops_complete = 0;
@@ -67,14 +50,15 @@ struct JobMetrics {
   return "?";
 }
 
-/// Reduces one record (verdict fields are left at kNotChecked; the executor
-/// fills them in when the job asked for a check).
+/// Reduces one record: harness::latency_by_op plus the op counts and the
+/// traffic fields (verdict fields are left at kNotChecked; the executor fills
+/// them in when the job asked for a check).
 [[nodiscard]] JobMetrics reduce_record(const sim::RunRecord& record);
 
 /// Campaign-level rollup: latency samples pooled across jobs per operation
 /// name, plus verdict/failure counters.
 struct CampaignMetrics {
-  std::map<std::string, OpMetrics> ops;  ///< pooled over all succeeded jobs
+  std::map<std::string, harness::OpMetrics> ops;  ///< pooled over all succeeded jobs
   std::size_t jobs_total = 0;
   std::size_t jobs_failed = 0;       ///< job raised instead of completing
   std::size_t jobs_checked = 0;      ///< ran the linearizability checker

@@ -61,14 +61,14 @@ std::string json_number(double v) {
   return fmt_double(v);
 }
 
-void write_op_metrics(std::ostream& os, const OpMetrics& m) {
+void write_op_metrics(std::ostream& os, const harness::OpMetrics& m) {
   os << "{\"count\":" << m.count << ",\"min\":" << json_number(m.min)
      << ",\"mean\":" << json_number(m.mean) << ",\"p50\":" << json_number(m.p50)
      << ",\"p90\":" << json_number(m.p90) << ",\"p99\":" << json_number(m.p99)
      << ",\"max\":" << json_number(m.max) << "}";
 }
 
-void write_op_map(std::ostream& os, const std::map<std::string, OpMetrics>& ops) {
+void write_op_map(std::ostream& os, const std::map<std::string, harness::OpMetrics>& ops) {
   os << "{";
   bool first = true;
   for (const auto& [name, m] : ops) {

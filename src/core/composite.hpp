@@ -80,10 +80,6 @@ class CompositeProcess final : public sim::Process {
   void on_message(sim::Context& ctx, sim::ProcId src, const sim::Payload& payload) override;
   void on_timer(sim::Context& ctx, sim::TimerId id, const sim::Payload& data) override;
 
-  [[nodiscard]] const AlgorithmOneProcess& instance(std::size_t object) const {
-    return *instances_.at(object);
-  }
-
  private:
   class SubContext;
 

@@ -140,11 +140,6 @@ class ShardedServingProcess final : public sim::Process {
   void on_message(sim::Context& ctx, sim::ProcId src, const sim::Payload& payload) override;
   void on_timer(sim::Context& ctx, sim::TimerId id, const sim::Payload& data) override;
 
-  [[nodiscard]] const ShardedStore& store() const { return store_; }
-  [[nodiscard]] const AlgorithmOneProcess& instance(int shard) const {
-    return *instances_.at(static_cast<std::size_t>(shard));
-  }
-
   /// Canonical encoding of every shard's replica state, for convergence
   /// checks across processes.
   [[nodiscard]] std::string state_canonical() const;

@@ -1,8 +1,10 @@
 #include "harness/runner.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <random>
 #include <stdexcept>
+#include <utility>
 
 #include "harness/workload.hpp"
 
@@ -62,53 +64,64 @@ struct ScriptDriver {
 
 }  // namespace
 
-const LatencyStats& RunResult::stats_for(const std::string& op) const {
-  const auto it = latency.find(op);
-  if (it == latency.end()) {
-    throw std::out_of_range("RunResult: no completed instances of operation '" + op + "'");
-  }
-  return it->second;
+double percentile(const std::vector<double>& sorted, double q) {
+  if (sorted.empty()) throw std::invalid_argument("percentile: empty sample set");
+  if (q < 0.0 || q > 1.0) throw std::invalid_argument("percentile: q outside [0, 1]");
+  if (q == 0.0) return sorted.front();
+  // Nearest-rank: the smallest value with at least ceil(q * N) samples <= it.
+  const auto rank = static_cast<std::size_t>(
+      std::ceil(q * static_cast<double>(sorted.size())));
+  return sorted[rank - 1];
 }
 
-std::map<std::string, LatencyStats> latency_by_op(const sim::RunRecord& record) {
-  // Accumulate on the interned op id (dense vector, no string hashing per
-  // record) whenever the record carries one; names are resolved into the
-  // sorted output map once at the end.  Records without ids (e.g. loaded
-  // from traces) fall back to string keys directly.
-  struct Bucket {
-    std::string name;
-    LatencyStats stats;
-  };
-  std::vector<Bucket> by_id;
-  std::map<std::string, LatencyStats> out;
+OpMetrics reduce_samples(std::vector<double> samples) {
+  OpMetrics out;
+  if (samples.empty()) return out;
+  std::vector<double> sorted = samples;
+  std::sort(sorted.begin(), sorted.end());
+  out.count = sorted.size();
+  out.min = sorted.front();
+  out.max = sorted.back();
+  double sum = 0;
+  for (const double s : sorted) sum += s;
+  out.mean = sum / static_cast<double>(sorted.size());
+  out.p50 = percentile(sorted, 0.50);
+  out.p90 = percentile(sorted, 0.90);
+  out.p99 = percentile(sorted, 0.99);
+  out.samples = std::move(samples);
+  return out;
+}
 
-  const auto accumulate = [](LatencyStats& s, sim::Time latency) {
-    if (s.count == 0) {
-      s.min = s.max = latency;
-    } else {
-      s.min = std::min(s.min, latency);
-      s.max = std::max(s.max, latency);
-    }
-    s.mean = (s.mean * static_cast<double>(s.count) + latency) / static_cast<double>(s.count + 1);
-    ++s.count;
-  };
-
+std::map<std::string, OpMetrics> latency_by_op(const sim::RunRecord& record) {
+  // Grouped by name.  An op's interned id, when the record carries one, only
+  // caches its name's group (ids index one type's op table), so a run does
+  // one map lookup per operation name rather than per op.
+  std::map<std::string, OpMetrics> out;
+  std::vector<std::vector<double>*> by_id;
   for (const auto& op : record.ops) {
     if (!op.complete()) continue;
+    std::vector<double>* samples = nullptr;
     if (op.op_id.valid()) {
       const auto idx = static_cast<std::size_t>(op.op_id.index());
-      if (idx >= by_id.size()) by_id.resize(idx + 1);
-      auto& bucket = by_id[idx];
-      if (bucket.stats.count == 0) bucket.name = op.op;
-      accumulate(bucket.stats, op.latency());
+      if (idx >= by_id.size()) by_id.resize(idx + 1, nullptr);
+      if (by_id[idx] == nullptr) by_id[idx] = &out[op.op].samples;
+      samples = by_id[idx];
     } else {
-      accumulate(out[op.op], op.latency());
+      samples = &out[op.op].samples;
     }
+    samples->push_back(op.latency());
   }
-  for (auto& bucket : by_id) {
-    if (bucket.stats.count > 0) out[bucket.name] = bucket.stats;
-  }
+  for (auto& [name, metrics] : out) metrics = reduce_samples(std::move(metrics.samples));
   return out;
+}
+
+OpMetrics RunResult::stats_for(const std::string& op) const {
+  auto by_op = latency_by_op(record);
+  const auto it = by_op.find(op);
+  if (it == by_op.end()) {
+    throw std::out_of_range("RunResult: no completed instances of operation '" + op + "'");
+  }
+  return std::move(it->second);
 }
 
 RunResult execute(const adt::DataType& type, const RunSpec& spec) {
@@ -235,7 +248,6 @@ RunResult execute(const adt::DataType& type, const RunSpec& spec) {
 
   RunResult result;
   result.record = world.take_record();
-  result.latency = latency_by_op(result.record);
   // Canonical state extraction walks every replica (every materialized key,
   // for sharded stores) -- skip it in ops-only runs, where the caller asked
   // for throughput numbers, not convergence evidence.

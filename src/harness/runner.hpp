@@ -1,17 +1,19 @@
 #pragma once
 // Run orchestration: build a World for a chosen algorithm, drive a workload
 // (open-loop scheduled calls and/or closed-loop per-process scripts), and
-// collect the recorded run plus per-operation latency statistics.  Campaigns,
-// scenarios, the table benches and the Theorem 2-5 experiments
-// (shift/theorems.cpp) all run through this harness, so their configurations
-// are declarative and reproducible.  Only these build a sim::World
-// themselves: the tie-break ablation (bench/ablations.cpp and
-// tests/core/ablation_test.cpp flip WorldConfig::timers_before_deliveries),
-// the clock-synchronization round (src/clocksync), the tests and
-// micro-benchmarks that inspect processes (construction, composite,
-// Algorithm 1, sharded store), and the sim unit tests.  Plans come either as
-// explicit calls/scripts or from a WorkloadGen (harness/workload.hpp), which
-// is also the only source of serving plans over a ShardedStore.
+// collect the recorded run.  Per-operation latency statistics are reduced
+// from a record on demand, by latency_by_op alone.  Campaigns, scenarios,
+// the table benches, the Theorem 2-5 experiments (shift/theorems.cpp) and
+// the back-date ablation all run through this harness, so their
+// configurations are declarative and reproducible.  Only these build a
+// sim::World themselves: the tie-break ablation (bench/ablations.cpp and
+// tests/core/ablation_test.cpp flip WorldConfig::timers_before_deliveries,
+// which RunSpec does not carry), the clock-synchronization round
+// (src/clocksync), the tests and micro-benchmarks that inspect processes
+// (construction, composite, Algorithm 1, sharded store), and the sim unit
+// tests.  Plans come either as explicit calls/scripts or from a WorkloadGen
+// (harness/workload.hpp), which is also the only source of serving plans
+// over a ShardedStore.
 
 #include <cstdint>
 #include <map>
@@ -129,17 +131,37 @@ struct RunSpec {
   std::shared_ptr<const WorkloadGen> workload;
 };
 
-/// Latency summary for one operation name.
-struct LatencyStats {
+/// Latency distribution of one operation name.  Percentiles use the
+/// nearest-rank definition on the sorted samples (exact, no interpolation),
+/// so they do not depend on the order in which samples were pooled.
+struct OpMetrics {
   std::size_t count = 0;
-  sim::Time min = 0;
-  sim::Time max = 0;
-  sim::Time mean = 0;
+  double min = 0;
+  double mean = 0;
+  double p50 = 0;
+  double p90 = 0;
+  double p99 = 0;
+  double max = 0;
+  /// The latencies themselves, in record order, so that a campaign pools
+  /// exact samples across jobs rather than percentiles of percentiles.
+  std::vector<double> samples;
 };
+
+/// Computes nearest-rank percentile q in [0, 1] of `sorted` (ascending).
+/// Throws std::invalid_argument on an empty sample set or q outside [0, 1].
+[[nodiscard]] double percentile(const std::vector<double>& sorted, double q);
+
+/// Reduces a set of latency samples; `samples` need not be sorted and are
+/// kept in the order given.
+[[nodiscard]] OpMetrics reduce_samples(std::vector<double> samples);
+
+/// The one per-operation latency reduction: a record's completed operations
+/// grouped by name.  Ops with and without an interned id share their name's
+/// group.
+[[nodiscard]] std::map<std::string, OpMetrics> latency_by_op(const sim::RunRecord& record);
 
 struct RunResult {
   sim::RunRecord record;
-  std::map<std::string, LatencyStats> latency;  ///< by operation name
 
   /// End-of-run replica state canonical encodings (index = process), for
   /// convergence / History Oblivion assertions.  Present for replicated
@@ -147,16 +169,14 @@ struct RunResult {
   /// reports only the coordinator's state at index 0.
   std::vector<std::string> final_states;
 
-  /// Stats for `op`; throws std::out_of_range naming the operation if the
-  /// run completed no instance of it.
-  [[nodiscard]] const LatencyStats& stats_for(const std::string& op) const;
+  /// Latency distribution of `op`, reduced from the record on each call;
+  /// throws std::out_of_range naming the operation if the run completed no
+  /// instance of it.
+  [[nodiscard]] OpMetrics stats_for(const std::string& op) const;
 };
 
 /// Executes the spec to quiescence and collects results.
 [[nodiscard]] RunResult execute(const adt::DataType& type, const RunSpec& spec);
-
-/// Computes latency stats from any record.
-[[nodiscard]] std::map<std::string, LatencyStats> latency_by_op(const sim::RunRecord& record);
 
 /// Generates a pseudo-random closed-loop workload: `ops_per_proc` operations
 /// at each of `params.n` processes, drawn uniformly from `type`'s operations

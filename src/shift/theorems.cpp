@@ -58,6 +58,63 @@ std::string fmt(double v) {
   return os.str();
 }
 
+/// The delays of shift(R, x) for a run R under the pair-wise uniform delay
+/// matrix `delays` (Theorem 1): p_i -> p_j carries D_ij - x_i + x_j.
+std::vector<std::vector<Time>> shift_delays(std::vector<std::vector<Time>> delays,
+                                            const std::vector<Time>& x) {
+  for (std::size_t i = 0; i < delays.size(); ++i) {
+    for (std::size_t j = 0; j < delays.size(); ++j) {
+      delays[i][j] -= x[i] - x[j];
+    }
+  }
+  return delays;
+}
+
+/// What a chop demo's shift-and-chop steps produced.
+struct ShiftChop {
+  std::vector<std::vector<Time>> delays;  ///< the shifted run's delay matrix
+  int invalid_edges = 0;
+  bool delay_valid = false;  ///< the fragment breaks no delay bound (skew may)
+  sim::RunRecord fragment;
+};
+
+/// The shift-and-chop steps of the Theorem 4 and 5 proofs on run `r` (under
+/// `delays`): shift by x, print the shifted matrix and each invalid edge,
+/// chop at d - m, and accept the fragment if it meets Lemma 2's
+/// postconditions -- every received delay valid, every unreceived message's
+/// recipient view ended before send + d -- so that only clock skew may be
+/// violated.  `shifted` and `expected_edge` are the demo's words for the
+/// shift and for the invalid edge it expects.
+ShiftChop shift_and_chop(const sim::RunRecord& r, const std::vector<std::vector<Time>>& delays,
+                         const std::vector<Time>& x, const ModelParams& params,
+                         const std::string& shifted, const std::string& expected_edge,
+                         std::ostream& details) {
+  ShiftChop out;
+  out.delays = shift_delays(delays, x);
+  details << "delays after shifting " << shifted << ":\n"
+          << render_delay_matrix(out.delays, params);
+  for (std::size_t i = 0; i < out.delays.size(); ++i) {
+    for (std::size_t j = 0; j < out.delays.size(); ++j) {
+      if (i == j) continue;
+      const Time delay = out.delays[i][j];
+      if (delay < params.min_delay() - 1e-9 || delay > params.d + 1e-9) {
+        ++out.invalid_edges;
+        details << "invalid edge p" << i << "->p" << j << " = " << delay << "\n";
+      }
+    }
+  }
+  details << "invalid edges: " << out.invalid_edges << " (expected exactly " << expected_edge
+          << ")\n";
+
+  out.fragment = chop_run(shift_run(r, x), out.delays, params.d - params.m());
+  out.delay_valid = true;
+  for (const auto& v : check_admissibility(out.fragment).violations) {
+    if (v.kind != Violation::Kind::kSkew) out.delay_valid = false;
+  }
+  details << "chopped fragment delay-valid: " << (out.delay_valid ? "yes" : "NO") << "\n";
+  return out;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -242,19 +299,12 @@ ExperimentResult theorem3_last_sensitive(const adt::DataType& type, const Theore
           params.d - static_cast<double>(mod) / k * params.u;
     }
   }
-  std::vector<std::vector<Time>> shifted_matrix = base;
-  for (int i = 0; i < params.n; ++i) {
-    for (int jj = 0; jj < params.n; ++jj) {
-      shifted_matrix[static_cast<std::size_t>(i)][static_cast<std::size_t>(jj)] -=
-          x[static_cast<std::size_t>(i)] - x[static_cast<std::size_t>(jj)];
-    }
-  }
   TimingPolicy unsafe = TimingPolicy::standard(params, /*X=*/0);
   unsafe.mop_respond = spec.unsafe_fraction * bound;
   result.unsafe_latency = unsafe.mop_respond;
 
   harness::RunSpec run = algorithm_one_run(params, unsafe, spec.rho);
-  run.delays = std::make_shared<sim::MatrixDelay>(shifted_matrix);
+  run.delays = std::make_shared<sim::MatrixDelay>(shift_delays(base, x));
   for (const Time xi : x) run.clock_offsets.push_back(-xi);
 
   const Time t = quiescence_bound(params, spec.rho.size()) + params.u;
@@ -420,47 +470,16 @@ ChopDemoResult theorem4_chop_demo(const adt::DataType& type, const Theorem4Spec&
   // p0 become d + m -- the single invalid edge (Figure 4).
   std::vector<Time> x(static_cast<std::size_t>(params.n), 0.0);
   x[1] = -m;
-  const sim::RunRecord s2 = shift_run(r2, x);
-
-  auto matrix = theorem4_matrix(params);
-  for (std::size_t i = 0; i < matrix.size(); ++i) {
-    for (std::size_t j = 0; j < matrix.size(); ++j) {
-      matrix[i][j] -= x[i] - x[j];
-    }
-  }
-  details << "delays after shifting p1 earlier by m (Figure 4):\n"
-          << render_delay_matrix(matrix, params);
-  int invalid_count = 0;
-  for (std::size_t i = 0; i < matrix.size(); ++i) {
-    for (std::size_t j = 0; j < matrix.size(); ++j) {
-      if (i == j) continue;
-      if (matrix[i][j] < params.min_delay() - 1e-9 || matrix[i][j] > params.d + 1e-9) {
-        ++invalid_count;
-        details << "invalid edge p" << i << "->p" << j << " = " << matrix[i][j] << "\n";
-      }
-    }
-  }
-  result.one_invalid_edge = (invalid_count == 1) &&
-                            (matrix[1][0] > params.d + 1e-9);
-  details << "invalid edges: " << invalid_count << " (expected exactly p1->p0 = d+m = "
-          << params.d + m << ")\n";
-
-  const sim::RunRecord chopped = chop_run(s2, matrix, params.d - m);
-
-  // Lemma 2 postconditions: every received delay valid; every unreceived
-  // message's recipient view ends before send + d.
-  const AdmissibilityReport adm = check_admissibility(chopped);
-  bool delays_ok = true;
-  for (const auto& v : adm.violations) {
-    if (v.kind != Violation::Kind::kSkew) delays_ok = false;
-  }
-  result.chop_valid = delays_ok;
-  details << "chopped fragment delay-valid: " << (delays_ok ? "yes" : "NO") << "\n";
+  const ShiftChop sc =
+      shift_and_chop(r2, theorem4_matrix(params), x, params, "p1 earlier by m (Figure 4)",
+                     "p1->p0 = d+m = " + fmt(params.d + m), details);
+  result.one_invalid_edge = sc.invalid_edges == 1 && sc.delays[1][0] > params.d + 1e-9;
+  result.chop_valid = sc.delay_valid;
 
   // p1's operation (invoked at t+m, shifted to t) must complete within the
   // fragment: the proof shows p1's view is chopped at t + d + m or later
   // while op1' responds before t + d + m.
-  for (const auto& op : chopped.ops) {
+  for (const auto& op : sc.fragment.ops) {
     if (op.proc == 1 && op.op == spec.op) {
       result.op_survives_chop = op.complete();
       details << "p1's " << op.to_string() << " survives chop: "
@@ -622,43 +641,15 @@ ChopDemoResult theorem5_chop_demo(const adt::DataType& type, const Theorem5Spec&
   // (Figure 10).
   std::vector<Time> x(static_cast<std::size_t>(params.n), 0.0);
   x[1] = m;
-  const sim::RunRecord s1 = shift_run(r1, x);
-
-  auto matrix = theorem5_matrix(params);
-  for (std::size_t i = 0; i < matrix.size(); ++i) {
-    for (std::size_t j = 0; j < matrix.size(); ++j) {
-      matrix[i][j] -= x[i] - x[j];
-    }
-  }
-  details << "delays after shifting p1 later by m (Figure 10):\n"
-          << render_delay_matrix(matrix, params);
-  int invalid_count = 0;
-  for (std::size_t i = 0; i < matrix.size(); ++i) {
-    for (std::size_t j = 0; j < matrix.size(); ++j) {
-      if (i == j) continue;
-      if (matrix[i][j] < params.min_delay() - 1e-9 || matrix[i][j] > params.d + 1e-9) {
-        ++invalid_count;
-        details << "invalid edge p" << i << "->p" << j << " = " << matrix[i][j] << "\n";
-      }
-    }
-  }
-  result.one_invalid_edge =
-      (invalid_count == 1) && (matrix[1][0] < params.min_delay() - 1e-9);
-  details << "invalid edges: " << invalid_count << " (expected exactly p1->p0 = d-2m = "
-          << params.d - 2 * m << ")\n";
-
-  const sim::RunRecord chopped = chop_run(s1, matrix, params.d - m);
-  const AdmissibilityReport adm = check_admissibility(chopped);
-  bool delays_ok = true;
-  for (const auto& v : adm.violations) {
-    if (v.kind != Violation::Kind::kSkew) delays_ok = false;
-  }
-  result.chop_valid = delays_ok;
-  details << "chopped fragment delay-valid: " << (delays_ok ? "yes" : "NO") << "\n";
+  const ShiftChop sc =
+      shift_and_chop(r1, theorem5_matrix(params), x, params, "p1 later by m (Figure 10)",
+                     "p1->p0 = d-2m = " + fmt(params.d - 2 * m), details);
+  result.one_invalid_edge = sc.invalid_edges == 1 && sc.delays[1][0] < params.min_delay() - 1e-9;
+  result.chop_valid = sc.delay_valid;
 
   // Claim 8: aop at p1 and aop at p2 survive the chop.
   bool aop1_ok = false, aop2_ok = false;
-  for (const auto& op : chopped.ops) {
+  for (const auto& op : sc.fragment.ops) {
     if (op.op == spec.aop && op.proc == 1 && op.complete()) aop1_ok = true;
     if (op.op == spec.aop && op.proc == 2 && op.complete()) aop2_ok = true;
   }

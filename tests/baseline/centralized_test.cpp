@@ -71,7 +71,7 @@ TEST(CentralizedTest, WorstCaseLatencyBoundedByTwoD) {
   spec.delays = std::make_shared<sim::UniformRandomDelay>(8.0, 10.0, 11);
   spec.scripts = harness::random_scripts(queue, 4, 5, 13);
   const auto result = harness::execute(queue, spec);
-  for (const auto& [op, stats] : result.latency) {
+  for (const auto& [op, stats] : harness::latency_by_op(result.record)) {
     EXPECT_LE(stats.max, 2 * spec.params.d + 1e-9) << op;
   }
 }

@@ -26,7 +26,7 @@ TEST(ZeroWaitTest, InstantResponses) {
   spec.algo = AlgoKind::kZeroWait;
   spec.calls = {Call{0.0, 0, "enqueue", Value{1}}, Call{5.0, 0, "dequeue", Value::nil()}};
   const auto result = harness::execute(queue, spec);
-  for (const auto& [op, stats] : result.latency) {
+  for (const auto& [op, stats] : harness::latency_by_op(result.record)) {
     EXPECT_DOUBLE_EQ(stats.max, 0.0) << op;
   }
 }

@@ -70,7 +70,7 @@ TEST(ExecutorTest, RunsAllJobsInSpecOrder) {
     EXPECT_EQ(result.jobs[i].name, spec.jobs[i].name);
     EXPECT_TRUE(result.jobs[i].ok) << result.jobs[i].error;
     EXPECT_GT(result.jobs[i].metrics.ops_complete, 0u);
-    EXPECT_FALSE(result.jobs[i].latency_samples.empty());
+    EXPECT_FALSE(result.jobs[i].metrics.ops.empty());
   }
   const auto agg = result.aggregate();
   EXPECT_EQ(agg.jobs_total, spec.jobs.size());
@@ -104,7 +104,9 @@ TEST(ExecutorTest, RecordsKeptOnlyOnRequest) {
 
   const auto dropped = run_campaign(spec);
   EXPECT_TRUE(dropped.jobs[0].run.record.ops.empty());
-  EXPECT_FALSE(dropped.jobs[0].latency_samples.empty());  // survives the drop
+  // The per-op samples survive the drop.
+  ASSERT_FALSE(dropped.jobs[0].metrics.ops.empty());
+  EXPECT_FALSE(dropped.jobs[0].metrics.ops.begin()->second.samples.empty());
 
   ExecutorOptions keep;
   keep.keep_records = true;

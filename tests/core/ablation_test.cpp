@@ -10,6 +10,7 @@
 #include "adt/queue_type.hpp"
 #include "core/algorithm_one.hpp"
 #include "core/timing_policy.hpp"
+#include "harness/runner.hpp"
 #include "lin/checker.hpp"
 #include "sim/world.hpp"
 
@@ -83,30 +84,28 @@ TEST(TieBreakAblation, TimersFirstDoubleDeliversTheHead) {
 
 sim::RunRecord run_backdate_schedule(double backdate) {
   adt::QueueType queue;
-  sim::WorldConfig config;
-  config.params = sim::ModelParams{3, 10.0, 2.0, 1.5};
-  config.delays = std::make_shared<sim::FunctionDelay>(
+  harness::RunSpec spec;
+  spec.params = sim::ModelParams{3, 10.0, 2.0, 1.5};
+  spec.delays = std::make_shared<sim::FunctionDelay>(
       [](sim::ProcId src, sim::ProcId, sim::Time, std::uint64_t) {
         return src == 1 ? 10.0 : 8.0;  // p1's announcements are slow
       });
+  spec.timing = TimingPolicy::standard(spec.params, /*X=*/2.0);
+  spec.timing->aop_backdate = backdate;  // 2.0 = line 2; 0.0 = ablated
 
-  TimingPolicy timing = TimingPolicy::standard(config.params, /*X=*/2.0);
-  timing.aop_backdate = backdate;  // 2.0 = line 2; 0.0 = ablated
-
-  sim::World world(config, [&](sim::ProcId) {
-    return std::make_unique<AlgorithmOneProcess>(queue, timing);
-  });
   const double t = 50.0;
-  world.invoke_at(t - 1.0, 1, "enqueue", Value{1});  // ts 49, arrives p0 at 59
-  world.invoke_at(t - 0.5, 2, "enqueue", Value{2});  // ts 49.5, arrives p0 at 57.5
-  world.invoke_at(t, 0, "peek", Value::nil());       // drains at t + d - X = 58
-  // Probe dequeues at two different replicas: without the back-date, p0's
-  // replica diverges (it executed enqueue(2) before enqueue(1) through the
-  // accessor's drain), and both dequeues return the same element.
-  world.invoke_at(90.0, 1, "dequeue", Value::nil());
-  world.invoke_at(92.0, 0, "dequeue", Value::nil());
-  world.run();
-  return world.record();
+  spec.calls = {
+      {t - 1.0, 1, "enqueue", Value{1}},  // ts 49, arrives p0 at 59
+      {t - 0.5, 2, "enqueue", Value{2}},  // ts 49.5, arrives p0 at 57.5
+      {t, 0, "peek", Value::nil()},       // drains at t + d - X = 58
+      // Probe dequeues at two different replicas: without the back-date,
+      // p0's replica diverges (it executed enqueue(2) before enqueue(1)
+      // through the accessor's drain), and both dequeues return the same
+      // element.
+      {90.0, 1, "dequeue", Value::nil()},
+      {92.0, 0, "dequeue", Value::nil()},
+  };
+  return harness::execute(queue, spec).record;
 }
 
 TEST(BackdateAblation, LineTwoBackdateKeepsAccessorConsistent) {

@@ -15,7 +15,7 @@ namespace {
 
 using adt::Value;
 
-TEST(RunnerTest, LatencyStatsAggregateCorrectly) {
+TEST(RunnerTest, LatencyByOpAggregatesCorrectly) {
   sim::RunRecord record;
   auto add = [&record](const std::string& op, double inv, double resp) {
     sim::OpRecord r;

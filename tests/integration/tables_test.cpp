@@ -102,12 +102,14 @@ TEST(TableComparisonTest, AlgorithmOneBeatsCentralizedOnEveryClass) {
   const auto ours = measure(queue, AlgoKind::kAlgorithmOne, X);
   const auto central = measure(queue, AlgoKind::kCentralized, 0.0);
 
-  for (const auto& [op, stats] : ours.latency) {
+  for (const auto& [op, stats] : harness::latency_by_op(ours.record)) {
     EXPECT_LT(stats.max, 2 * p.d) << op;
   }
   // Centralized remote ops hit 2d under the max-delay adversary.
   double central_max = 0;
-  for (const auto& [op, stats] : central.latency) central_max = std::max(central_max, stats.max);
+  for (const auto& [op, stats] : harness::latency_by_op(central.record)) {
+    central_max = std::max(central_max, stats.max);
+  }
   EXPECT_NEAR(central_max, 2 * p.d, 1e-9);
 }
 
