@@ -220,18 +220,8 @@ RunResult execute(const adt::DataType& type, const RunSpec& spec) {
   };
 
   sim::World world(config, factory);
-
-  for (const auto& call : *calls) {
-    // Intern once per call here rather than per call inside the World; names
-    // the type doesn't know stay on the string overload (the process's
-    // on_invoke decides what they mean).
-    const adt::OpId id = type.find_op(call.op);
-    if (id.valid()) {
-      world.invoke_at(call.when, call.proc, id, call.arg);
-    } else {
-      world.invoke_at(call.when, call.proc, call.op, call.arg);
-    }
-  }
+  // The World reads the calls in place, so they outlive run() below.
+  world.set_plan(*calls);
 
   std::optional<ScriptDriver> driver;
   if (!scripts->empty()) {

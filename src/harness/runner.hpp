@@ -55,13 +55,9 @@ enum class AlgoKind {
   return "?";
 }
 
-/// One open-loop (scheduled) invocation.
-struct Call {
-  sim::Time when = 0;
-  sim::ProcId proc = 0;
-  std::string op;
-  adt::Value arg;
-};
+/// One open-loop (scheduled) invocation; the World reads a plan of these in
+/// place (sim::World::set_plan).
+using Call = sim::Call;
 
 /// One step of a closed-loop script.
 struct ScriptOp {
@@ -106,9 +102,9 @@ struct RunSpec {
   sim::RecordDetail record_detail = sim::RecordDetail::kFull;
   std::uint64_t max_events = 10'000'000;
 
-  /// Open-loop invocations.  Each call's name is resolved to its interned
-  /// adt::OpId once at submission; a name the type does not know goes
-  /// through the string overload of World::invoke_at.
+  /// Open-loop invocations, handed to the World as its plan.  Each call's
+  /// name is resolved to its interned adt::OpId when the call is invoked; a
+  /// name the type does not know reaches the process's on_invoke(string).
   std::vector<Call> calls;
 
   /// Closed-loop scripts: scripts[p] is invoked back-to-back at process p,

@@ -16,21 +16,28 @@
 // seq) triple, over randomized interleavings of pushes and pops.
 //
 // Bucketing works on an integer tick grid: World snaps every event time to a
-// multiple of 1/kTickGrid (see world.cpp), so tick_of() is a monotone map
+// multiple of 1/kTickGrid (snap() below), so tick_of() is a monotone map
 // from event times to int64 ticks and bucket number = tick / width.  Events
 // within the ring horizon (buckets cur..cur+B-1) go straight to their
-// bucket; farther events wait in a min-heap staging area and enter the ring
-// as it advances, so arbitrarily sparse schedules stay correct (the ring
-// jumps, it never scans empty epochs).
+// bucket; farther events wait and enter the ring as it advances, so
+// arbitrarily sparse schedules stay correct (the ring jumps, it never scans
+// empty epochs).  Three sources wait beyond the horizon: a min-heap staging
+// area, a FIFO lane for far pushes that arrive in key order, and an
+// open-loop plan read in place (set_plan), whose calls become events only
+// when their epoch comes near.
 
 #include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <numeric>
 #include <queue>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "adt/value.hpp"
 #include "sim/model_params.hpp"
 
 namespace lintime::sim {
@@ -39,6 +46,16 @@ namespace lintime::sim {
 /// World; the ring relies on it only for monotone bucketing, never for
 /// ordering (ordering compares the exact double).
 constexpr double kTickGrid = 1e9;
+
+/// The grid point nearest `t`.  Every event time is snapped so that
+/// boundaries that are mathematically equal but computed along different
+/// floating-point addition paths (e.g. a response at t0 + (d+eps) + (X+eps)
+/// vs. an invocation at (t0 + X+eps) + (d+eps)) compare exactly equal.  The
+/// paper's model works over the reals where such boundaries coincide;
+/// without snapping, one-ulp differences create spurious real-time
+/// precedence edges that contradict the timestamp tie-breaking and make
+/// correct runs look non-linearizable.
+[[nodiscard]] inline Time snap(Time t) { return std::round(t * kTickGrid) / kTickGrid; }
 
 /// The three event kinds of the model (Section 2.2).
 enum class EventKind { kDeliver = 0, kTimer = 1, kInvoke = 2 };
@@ -51,9 +68,24 @@ struct RingEvent {
   std::uint64_t order = 0;  ///< (tie_rank << 62) | seq -- FIFO tie-break
   EventKind kind = EventKind::kInvoke;
   ProcId proc = 0;
-  std::uint64_t id = 0;    ///< invoke_id / message_id / timer_id
-  std::uint64_t slot = 0;  ///< kDeliver: payload arena slot
+  std::uint64_t id = 0;    ///< invoke id or plan index / message id / timer id
+  std::uint64_t slot = 0;  ///< kDeliver: payload arena slot; kInvoke: kPlanSlot or 0
 };
+
+/// One open-loop invocation: `op(arg)` at process `proc` at real time
+/// `when`.  An open-loop plan is a vector of these, which the World reads in
+/// place (World::set_plan); harness::Call is this struct.
+struct Call {
+  Time when = 0;
+  ProcId proc = 0;
+  std::string op;
+  adt::Value arg;
+};
+
+/// RingEvent::slot of a kInvoke whose `id` indexes the open-loop plan; an
+/// invocation scheduled by World::invoke_at carries slot 0 and its invoke
+/// id.
+constexpr std::uint64_t kPlanSlot = 1;
 
 /// Packs the (tie_rank, seq) tie-break into RingEvent::order.
 [[nodiscard]] constexpr std::uint64_t ring_order(int tie_rank, std::uint64_t seq) {
@@ -113,16 +145,13 @@ class EventRing {
       return;
     }
     if (bn <= cur_num_ + static_cast<std::int64_t>(mask_ + 1)) {
-      const auto slot = static_cast<std::size_t>(bn) & mask_;
-      ring_buckets()[slot].push_back(ev);
-      set_occ(slot);
-      ++ring_count_;
+      stage(ev, bn);
       return;
     }
     // Beyond the horizon.  Far pushes that arrive in nondecreasing key order
-    // (the common case: a pre-scheduled open-loop arrival plan is generated
-    // time-ascending) ride an O(1) append/consume FIFO lane; only the rare
-    // out-of-order stragglers pay the staging heap's O(log n).
+    // (a time-ascending plan submitted call by call through
+    // World::invoke_at) ride an O(1) append/consume FIFO lane; out-of-order
+    // stragglers pay the staging heap's O(log n).
     if (far_fifo_pos_ == far_fifo_.size() || !ring_event_less(ev, far_fifo_.back())) {
       far_fifo_.push_back(ev);
       return;
@@ -139,6 +168,43 @@ class EventRing {
     return cur_[cur_pos_++];
   }
 
+  /// Schedules the open-loop plan calls[0, size) without copying it.  Call i
+  /// pops as the event that pushing it now would make: kInvoke at
+  /// snap(when) with order first_order + i, its proc, id i and kPlanSlot.
+  /// That event is built only when the horizon reaches its epoch, so until
+  /// then the call costs the ring nothing, unless the plan is not sorted by
+  /// snapped time: then the ring keeps the plan's time order, 4 bytes per
+  /// call.  The calls must stay valid and unchanged until the last of them
+  /// pops.  One plan per ring, set before the first pop.
+  void set_plan(const Call* calls, std::size_t size, std::uint64_t first_order) {
+    if (plan_size_ != 0 || cur_num_ >= 0) {
+      throw std::logic_error("EventRing::set_plan: one plan, set before the first pop");
+    }
+    plan_ = calls;
+    plan_size_ = size;
+    plan_first_order_ = first_order;
+    size_ += size;
+    for (std::size_t i = 1; i < size; ++i) {
+      if (snap(calls[i].when) >= snap(calls[i - 1].when)) continue;
+      if (size > std::numeric_limits<std::uint32_t>::max()) {
+        throw std::length_error("EventRing::set_plan: unsorted plan too large");
+      }
+      plan_order_.resize(size);
+      std::iota(plan_order_.begin(), plan_order_.end(), std::uint32_t{0});
+      std::stable_sort(plan_order_.begin(), plan_order_.end(),
+                       [calls](std::uint32_t a, std::uint32_t b) {
+                         return snap(calls[a].when) < snap(calls[b].when);
+                       });
+      break;
+    }
+  }
+
+  /// The plan's call `i`: the call a kPlanSlot event with id i invokes.
+  [[nodiscard]] const Call& plan_call(std::uint64_t i) const { return plan_[i]; }
+
+  /// Plan calls that have not yet entered the ring.
+  [[nodiscard]] std::size_t plan_unstaged() const { return plan_size_ - plan_pos_; }
+
  private:
   [[nodiscard]] std::vector<std::vector<RingEvent>>& ring_buckets() {
     if (slots_.empty()) {
@@ -146,6 +212,16 @@ class EventRing {
       occ_.resize((mask_ + 64) / 64, 0);
     }
     return slots_;
+  }
+
+  [[nodiscard]] std::int64_t bucket_of(Time when) const { return tick_of(when) / width_; }
+
+  /// Files `ev` under its ring bucket `bn`, within the horizon.
+  void stage(const RingEvent& ev, std::int64_t bn) {
+    const auto slot = static_cast<std::size_t>(bn) & mask_;
+    ring_buckets()[slot].push_back(ev);
+    set_occ(slot);
+    ++ring_count_;
   }
 
   void set_occ(std::size_t slot) { occ_[slot >> 6] |= std::uint64_t{1} << (slot & 63); }
@@ -165,13 +241,23 @@ class EventRing {
     throw std::logic_error("EventRing::next_occupied: no occupied bucket");
   }
 
-  /// Earliest staged far event across the FIFO lane and the heap, or nullptr.
-  [[nodiscard]] const RingEvent* far_front() const {
-    const RingEvent* heap = far_.empty() ? nullptr : &far_.top();
-    const RingEvent* fifo = far_fifo_pos_ < far_fifo_.size() ? &far_fifo_[far_fifo_pos_] : nullptr;
-    if (heap == nullptr) return fifo;
-    if (fifo == nullptr) return heap;
-    return ring_event_less(*heap, *fifo) ? heap : fifo;
+  /// The plan's call at position `pos` of its time order.
+  [[nodiscard]] std::size_t plan_index(std::size_t pos) const {
+    return plan_order_.empty() ? pos : plan_order_[pos];
+  }
+
+  /// Bucket of the earliest event waiting beyond the horizon (staging heap,
+  /// FIFO lane or plan), or INT64_MAX when none waits.
+  [[nodiscard]] std::int64_t far_bucket() const {
+    std::int64_t bn = std::numeric_limits<std::int64_t>::max();
+    if (!far_.empty()) bn = bucket_of(far_.top().when);
+    if (far_fifo_pos_ < far_fifo_.size()) {
+      bn = std::min(bn, bucket_of(far_fifo_[far_fifo_pos_].when));
+    }
+    if (plan_pos_ < plan_size_) {
+      bn = std::min(bn, bucket_of(snap(plan_[plan_index(plan_pos_)].when)));
+    }
+    return bn;
   }
 
   void advance() {
@@ -183,15 +269,12 @@ class EventRing {
     // The occupancy bitmap gives the next resident ring bucket; the staging
     // area caps the jump so far events are staged before their epoch.
     if (ring_count_ == 0) {
-      cur_num_ = tick_of(far_front()->when) / width_;
+      cur_num_ = far_bucket();
     } else {
       const auto from = static_cast<std::size_t>(cur_num_ + 1) & mask_;
       const std::size_t slot = next_occupied(from);
       const std::size_t distance = (slot + (mask_ + 1) - from) & mask_;
-      std::int64_t next = cur_num_ + 1 + static_cast<std::int64_t>(distance);
-      const RingEvent* far = far_front();
-      if (far != nullptr) next = std::min(next, tick_of(far->when) / width_);
-      cur_num_ = next;
+      cur_num_ = std::min(cur_num_ + 1 + static_cast<std::int64_t>(distance), far_bucket());
     }
     // Stage-in: the jump exposed new buckets; move every staged event now in
     // range.  The limit is B-1 (not B) buckets ahead: staging runs before
@@ -200,26 +283,33 @@ class EventRing {
     // a whole revolution early.  Staged buckets [cur_num_, cur_num_ + B - 1]
     // have distinct slot indices.
     const std::int64_t limit = cur_num_ + static_cast<std::int64_t>(mask_);
-    while (!far_.empty() && tick_of(far_.top().when) / width_ <= limit) {
-      const RingEvent& ev = far_.top();
-      const auto slot = static_cast<std::size_t>(tick_of(ev.when) / width_) & mask_;
-      ring_buckets()[slot].push_back(ev);
-      set_occ(slot);
-      ++ring_count_;
+    while (!far_.empty() && bucket_of(far_.top().when) <= limit) {
+      stage(far_.top(), bucket_of(far_.top().when));
       far_.pop();
     }
     while (far_fifo_pos_ < far_fifo_.size() &&
-           tick_of(far_fifo_[far_fifo_pos_].when) / width_ <= limit) {
-      const RingEvent& ev = far_fifo_[far_fifo_pos_];
-      const auto slot = static_cast<std::size_t>(tick_of(ev.when) / width_) & mask_;
-      ring_buckets()[slot].push_back(ev);
-      set_occ(slot);
-      ++ring_count_;
+           bucket_of(far_fifo_[far_fifo_pos_].when) <= limit) {
+      stage(far_fifo_[far_fifo_pos_], bucket_of(far_fifo_[far_fifo_pos_].when));
       ++far_fifo_pos_;
     }
     if (far_fifo_pos_ == far_fifo_.size() && far_fifo_pos_ > 0) {
       far_fifo_.clear();
       far_fifo_pos_ = 0;
+    }
+    // Plan calls enter in time order, so the first one beyond the limit ends
+    // the stage-in.
+    for (; plan_pos_ < plan_size_; ++plan_pos_) {
+      const std::size_t i = plan_index(plan_pos_);
+      RingEvent ev;
+      ev.when = snap(plan_[i].when);
+      const std::int64_t bn = bucket_of(ev.when);
+      if (bn > limit) break;
+      ev.order = plan_first_order_ + i;
+      ev.kind = EventKind::kInvoke;
+      ev.proc = plan_[i].proc;
+      ev.id = i;
+      ev.slot = kPlanSlot;
+      stage(ev, bn);
     }
     const auto cur_slot = static_cast<std::size_t>(cur_num_) & mask_;
     auto& bucket = ring_buckets()[cur_slot];
@@ -248,7 +338,12 @@ class EventRing {
   std::priority_queue<RingEvent, std::vector<RingEvent>, FarGreater> far_;
   std::vector<RingEvent> far_fifo_;  ///< nondecreasing far pushes, consumed front-to-back
   std::size_t far_fifo_pos_ = 0;     ///< first unconsumed far_fifo_ index
-  std::size_t size_ = 0;
+  const Call* plan_ = nullptr;       ///< the open-loop plan, read in place
+  std::size_t plan_size_ = 0;
+  std::size_t plan_pos_ = 0;                ///< next position in time order to stage
+  std::vector<std::uint32_t> plan_order_;   ///< time order of an unsorted plan; else empty
+  std::uint64_t plan_first_order_ = 0;      ///< RingEvent::order of call 0
+  std::size_t size_ = 0;  ///< events held, plan calls not yet staged included
 };
 
 }  // namespace lintime::sim

@@ -17,18 +17,9 @@ namespace {
 // admissibility bounds are closed intervals.
 constexpr Time kTol = 1e-7;
 
-// All event times are snapped to a fixed grid so that boundaries that are
-// mathematically equal but computed along different floating-point addition
-// paths (e.g. a response at t0 + (d+eps) + (X+eps) vs. an invocation at
-// (t0 + X+eps) + (d+eps)) compare exactly equal.  The paper's model works
-// over the reals where such boundaries coincide; without snapping, one-ulp
-// differences create spurious real-time precedence edges that contradict the
-// timestamp tie-breaking and make correct runs look non-linearizable.
-// The EventRing buckets on the same grid (its tick_of()), which is what makes
-// its bucket numbering a monotone function of event times.
-constexpr Time kGrid = kTickGrid;  // resolution 1e-9 time units
-
-Time snap(Time t) { return std::round(t * kGrid) / kGrid; }
+// All event times are snapped to the EventRing's 1e-9 grid (snap(), see
+// sim/event_ring.hpp), which is what makes its bucket numbering a monotone
+// function of event times.
 
 }  // namespace
 
@@ -285,10 +276,14 @@ void World::push_ring(EventKind kind, Time when, ProcId proc, std::uint64_t id,
   ring_.push(ev);
 }
 
+adt::OpId World::resolve(const std::string& op) const {
+  return config_.type != nullptr ? config_.type->find_op(op) : adt::OpId{};
+}
+
 void World::invoke_at(Time when, ProcId proc, std::string op, adt::Value arg) {
   // Resolve the operation name to its interned id once, off the dispatch
-  // path; unknown names stay invalid (the process's on_invoke decides).
-  const adt::OpId op_id = config_.type != nullptr ? config_.type->find_op(op) : adt::OpId{};
+  // path.
+  const adt::OpId op_id = resolve(op);
   schedule_invoke(when, proc, std::move(op), op_id, std::move(arg));
 }
 
@@ -301,15 +296,28 @@ void World::invoke_at(Time when, ProcId proc, adt::OpId op, adt::Value arg) {
   schedule_invoke(when, proc, config_.type->spec(op).name, op, std::move(arg));
 }
 
-void World::schedule_invoke(Time when, ProcId proc, std::string op, adt::OpId op_id,
-                            adt::Value arg) {
+void World::check_invoke(Time when, ProcId proc) const {
   if (proc < 0 || proc >= config_.params.n) {
     throw std::invalid_argument("invoke_at: bad process id");
   }
   if (when < now_) throw std::invalid_argument("invoke_at: time in the past");
+}
+
+void World::schedule_invoke(Time when, ProcId proc, std::string op, adt::OpId op_id,
+                            adt::Value arg) {
+  check_invoke(when, proc);
   const std::uint64_t id = next_invoke_id_++;
   pending_invokes_.insert(id, PendingInvoke{std::move(op), std::move(arg), op_id});
   push_ring(EventKind::kInvoke, snap(when), proc, id, 0);
+}
+
+void World::set_plan(const std::vector<Call>& calls) {
+  for (const Call& call : calls) check_invoke(call.when, call.proc);
+  // The plan takes the block of sequence numbers that invoke_at, called once
+  // per call here, would have drawn.
+  ring_.set_plan(calls.data(), calls.size(),
+                 ring_order(tie_rank_of(EventKind::kInvoke), next_seq_));
+  next_seq_ += calls.size();
 }
 
 // Declared a deterministic entry point in detlint.toml
@@ -317,10 +325,10 @@ void World::schedule_invoke(Time when, ProcId proc, std::string op, adt::OpId op
 // must replay byte-identically from the seed, so detlint's reachability pass
 // bans wall-clock/randomness/hash-order tokens below this frame.
 void World::run(std::uint64_t max_events) {
-  // Open-loop serving plans schedule 10^5-10^6 invocations before running;
-  // each becomes exactly one OpRecord, so pre-size the vector once instead
-  // of paying ~20 growth copies of million-element records.
-  record_.ops.reserve(record_.ops.size() + pending_invokes_.size());
+  // An open-loop serving plan holds 10^5-10^6 invocations, and each becomes
+  // one OpRecord, so pre-size the vector once instead of paying ~20 growth
+  // copies of million-element records.
+  record_.ops.reserve(record_.ops.size() + ring_.plan_unstaged());
   std::uint64_t handled = 0;
   while (!ring_.empty()) {
     if (++handled > max_events) {
@@ -357,7 +365,7 @@ void World::dispatch_impl(EventKind kind, ProcId proc, std::uint64_t id,
     // robustness against hand-scheduled events.
     switch (kind) {
       case EventKind::kInvoke:
-        pending_invokes_.take(id);
+        if (payload_slot != kPlanSlot) pending_invokes_.take(id);
         break;
       case EventKind::kDeliver:
         if (auto* sp = payloads_.find(payload_slot); sp != nullptr) {
@@ -389,22 +397,29 @@ void World::dispatch_impl(EventKind kind, ProcId proc, std::uint64_t id,
         throw std::logic_error("invocation at p" + std::to_string(proc) +
                                " while another instance is pending (user constraint violated)");
       }
-      auto inv = pending_invokes_.take(id);
-      if (!inv) break;  // should not happen
+      OpRecord op;
+      if (payload_slot == kPlanSlot) {
+        const Call& call = ring_.plan_call(id);
+        op.op = call.op;
+        op.arg = call.arg;
+        op.op_id = resolve(call.op);
+      } else {
+        auto inv = pending_invokes_.take(id);
+        if (!inv) break;  // should not happen
+        op.op = std::move(inv->op);
+        op.arg = std::move(inv->arg);
+        op.op_id = inv->op_id;
+      }
 
       if constexpr (kFull) {
         step.trigger = Trigger::kInvoke;
-        step.op = inv->op;
-        step.arg = inv->arg;
+        step.op = op.op;
+        step.arg = op.arg;
       }
 
-      OpRecord op;
       op.proc = proc;
-      op.op = std::move(inv->op);
-      op.arg = std::move(inv->arg);
       op.invoke_real = now_;
       op.uid = next_op_uid_++;
-      op.op_id = inv->op_id;
       pending_op_[pi] = static_cast<std::int64_t>(record_.ops.size());
       record_.ops.push_back(std::move(op));
 

@@ -105,18 +105,27 @@ class World {
   World(WorldConfig config, const ProcessFactory& factory);
 
   /// Schedules an operation invocation at `proc` at real time `when`.
-  /// Throws if this would overlap a still-pending invocation known at call
-  /// time (the model allows at most one pending instance per process); the
-  /// run loop re-checks at execution time.
+  /// Throws std::invalid_argument on a bad process id or a time in the past.
+  /// The model allows at most one pending instance per process; an
+  /// invocation that arrives while another is pending at `proc` throws
+  /// std::logic_error when it is dispatched.
   ///
   /// The string overload resolves the name per call; scheduling loops
-  /// (bench/, harness) intern once and use the OpId overload below.
+  /// intern once and use the OpId overload below.
   void invoke_at(Time when, ProcId proc, std::string op, adt::Value arg);
 
   /// Interned-dispatch overload for hot scheduling loops: no per-call name
   /// lookup.  Requires WorldConfig::type (the id's issuer); throws
   /// std::out_of_range on an invalid or foreign id.
   void invoke_at(Time when, ProcId proc, adt::OpId op, adt::Value arg);
+
+  /// Schedules an open-loop plan, read in place: the run is the one that
+  /// invoke_at(c.when, c.proc, c.op, c.arg) for each call c, in order, would
+  /// give, but a call is copied into its OpRecord only when it is invoked,
+  /// and until then takes no side-table entry or ring event.  `calls` must
+  /// outlive run() unchanged.  One plan per World, set before run(); throws
+  /// invoke_at's std::invalid_argument on the first bad call.
+  void set_plan(const std::vector<Call>& calls);
 
   /// Registers a hook called on every operation response; the hook may call
   /// invoke_at (closed-loop workloads).
@@ -146,13 +155,14 @@ class World {
  private:
   // Invocations and timers keep their payloads in side tables keyed by id
   // (pending_invokes_ / timers_), message payloads in an arena slot that a
-  // broadcast's n-1 deliveries share (payloads_); the ring entry carries
-  // only the id and the slot.
+  // broadcast's n-1 deliveries share (payloads_), and plan calls stay in
+  // the plan; the ring entry carries only the id and the slot.
   struct PendingTimer {
     ProcId proc;
     Payload data;
   };
 
+  /// An invocation scheduled by invoke_at; plan calls stay in the plan.
   struct PendingInvoke {
     std::string op;
     adt::Value arg;
@@ -175,6 +185,11 @@ class World {
   class ContextImpl;
   friend class ContextImpl;
 
+  /// Throws invoke_at's std::invalid_argument for a bad invocation.
+  void check_invoke(Time when, ProcId proc) const;
+  /// The interned id of `op`, or an invalid id without a type or for a name
+  /// the type does not know (the process's on_invoke decides what it means).
+  [[nodiscard]] adt::OpId resolve(const std::string& op) const;
   void schedule_invoke(Time when, ProcId proc, std::string op, adt::OpId op_id, adt::Value arg);
   void dispatch(EventKind kind, ProcId proc, std::uint64_t id, std::uint64_t payload_slot);
 

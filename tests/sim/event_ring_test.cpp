@@ -1,7 +1,8 @@
 // EventRing tests: unit coverage of the calendar queue's ordering contract
 // (time order, tie ranks, FIFO sequence, far staging, sparse jumps, the
-// bucket-aliasing regression), a randomized differential test against a
-// std::priority_queue on the unpacked (when, tie_rank, seq) key, and the
+// bucket-aliasing regression), randomized differential tests against a
+// std::priority_queue on the unpacked (when, tie_rank, seq) key, with and
+// without an open-loop plan, unit tests of the plan source, and the
 // broadcast-as-sends suite: 60 seeded workloads, tie storms, broadcast
 // storms and the timers_before_deliveries ablation in both directions, each
 // run with every process behind a decorator that turns broadcast(p) into
@@ -175,6 +176,124 @@ TEST(EventRingTest, RandomizedAgainstBinaryHeap) {
     EXPECT_TRUE(heap.empty()) << "seed " << seed;
     EXPECT_GT(checked, 1000) << "seed " << seed;
   }
+}
+
+// ---------------------------------------------------------------------------
+// The plan source
+// ---------------------------------------------------------------------------
+
+/// Pops the ring dry; plan events are reported as 1000 + their plan index,
+/// pushed events as their id.
+std::vector<std::uint64_t> drain(EventRing& ring) {
+  std::vector<std::uint64_t> out;
+  while (!ring.empty()) {
+    const RingEvent e = ring.pop();
+    out.push_back(e.slot == kPlanSlot ? 1000 + e.id : e.id);
+  }
+  return out;
+}
+
+std::vector<Call> plan_at(const std::vector<double>& times) {
+  std::vector<Call> plan;
+  for (const double t : times) plan.push_back(Call{t, 0, "op", adt::Value::nil()});
+  return plan;
+}
+
+TEST(EventRingTest, PlanInterleavesWithPushesAtEqualKeys) {
+  // Differential check of the plan source against a binary min-heap that
+  // holds every plan call from the start, as if each had been pushed when
+  // the plan was set: pushes before the plan, a plan whose times collide
+  // with them on a coarse grid, then pushes (at every rank, often at the
+  // time just popped) interleaved with pops.
+  using Key = std::tuple<double, int, std::uint64_t>;  // (when, tie_rank, seq)
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    std::mt19937_64 rng(seed);
+    EventRing ring(EventRing::width_for(10.0));
+    std::priority_queue<Key, std::vector<Key>, std::greater<>> heap;
+    std::uint64_t seq = 0;
+    const auto push = [&](double when) {
+      const int rank = static_cast<int>(rng() % 3);
+      ring.push(ev(when, rank, seq));
+      heap.emplace(when, rank, seq);
+      ++seq;
+    };
+    for (int i = 0; i < 20; ++i) push(static_cast<double>(rng() % 40) / 2);
+    std::vector<double> times;
+    double t = 0;
+    for (int i = 0; i < 500; ++i) {
+      t += static_cast<double>(rng() % 3) / 2 + (rng() % 50 == 0 ? 5000.0 : 0.0);
+      times.push_back(t);
+    }
+    const std::vector<Call> plan = plan_at(times);
+    ring.set_plan(plan.data(), plan.size(), ring_order(2, seq));
+    for (std::size_t i = 0; i < plan.size(); ++i) heap.emplace(plan[i].when, 2, seq + i);
+    seq += plan.size();
+    double now = 0;
+    int popped = 0;
+    while (!ring.empty()) {
+      const RingEvent r = ring.pop();
+      const auto [when, rank, hseq] = heap.top();
+      heap.pop();
+      ASSERT_EQ(r.when, when) << "seed " << seed << " pop " << popped;
+      ASSERT_EQ(r.order, ring_order(rank, hseq)) << "seed " << seed << " pop " << popped;
+      if (r.slot == kPlanSlot) {
+        EXPECT_EQ(r.kind, EventKind::kInvoke);
+        EXPECT_EQ(ring.plan_call(r.id).when, r.when);
+      }
+      now = r.when;
+      ++popped;
+      for (int i = static_cast<int>(rng() % 3); i > 0; --i) {
+        push(now + (rng() % 2 == 0 ? 0.0 : static_cast<double>(rng() % 20) / 2));
+      }
+      if (popped > 2000) break;
+    }
+    EXPECT_GT(popped, 500) << "seed " << seed;
+  }
+}
+
+TEST(EventRingTest, UnsortedPlanPopsInTimeThenPlanOrder) {
+  EventRing ring(EventRing::width_for(10.0));
+  const std::vector<Call> plan = plan_at({5.0, 1.0, 3.0, 1.0, 9000.0, 2.0, 3.0});
+  ring.set_plan(plan.data(), plan.size(), ring_order(2, 0));
+  EXPECT_EQ(ring.size(), plan.size());
+  EXPECT_EQ(drain(ring), (std::vector<std::uint64_t>{1001, 1003, 1005, 1002, 1006, 1000, 1004}));
+}
+
+TEST(EventRingTest, PlanBeyondHorizonBesideStagingHeap) {
+  // An 8-tick horizon: plan calls at ticks 20, 30 and 100 wait beyond it
+  // next to a FIFO-lane event at tick 100 and staging-heap events (pushed
+  // out of order) at ticks 25, 30 and 40.  At tick 100 the lane event's
+  // rank 0 pops before the plan's rank 2.
+  EventRing ring(1, 8);
+  ring.push(ev(100.0 / kTickGrid, 0, 3));
+  ring.push(ev(40.0 / kTickGrid, 1, 1));
+  ring.push(ev(25.0 / kTickGrid, 1, 2));
+  ring.push(ev(3.0 / kTickGrid, 0, 4));
+  const std::vector<Call> plan = plan_at({20.0 / kTickGrid, 30.0 / kTickGrid, 100.0 / kTickGrid});
+  ring.set_plan(plan.data(), plan.size(), ring_order(2, 5));
+  ring.push(ev(30.0 / kTickGrid, 2, 9));  // same time and rank, after the plan's block
+  EXPECT_EQ(drain(ring), (std::vector<std::uint64_t>{4, 1000, 2, 1001, 9, 1, 3, 1002}));
+}
+
+TEST(EventRingTest, EmptyPlanChangesNothing) {
+  EventRing ring(EventRing::width_for(10.0));
+  ring.set_plan(nullptr, 0, ring_order(2, 0));
+  EXPECT_TRUE(ring.empty());
+  EXPECT_EQ(ring.plan_unstaged(), 0u);
+  ring.push(ev(2.0, 0, 1));
+  ring.push(ev(1.0, 0, 2));
+  EXPECT_EQ(drain(ring), (std::vector<std::uint64_t>{2, 1}));
+}
+
+TEST(EventRingTest, PlanMustComeBeforeTheFirstPop) {
+  const std::vector<Call> plan = plan_at({1.0, 2.0});
+  EventRing ring(EventRing::width_for(10.0));
+  ring.push(ev(0.5, 0, 0));
+  (void)ring.pop();
+  EXPECT_THROW(ring.set_plan(plan.data(), plan.size(), ring_order(2, 1)), std::logic_error);
+  EventRing twice(EventRing::width_for(10.0));
+  twice.set_plan(plan.data(), plan.size(), ring_order(2, 0));
+  EXPECT_THROW(twice.set_plan(plan.data(), plan.size(), ring_order(2, 2)), std::logic_error);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 // Unit tests for the discrete-event kernel: event ordering, timers and
-// cancellation, message delivery, clock offsets, trace recording, and the
-// model's user constraint (one pending invocation per process).
+// cancellation, message delivery, clock offsets, trace recording, the
+// model's user constraint (one pending invocation per process), and open-loop
+// plans (validation, name resolution, crashes).
 
 #include "sim/world.hpp"
 
@@ -327,6 +328,86 @@ TEST(WorldTest, InvokeAtForeignIdThrows) {
   Probe::Log log;
   World w(c, [&](ProcId) { return std::make_unique<Probe>(log); });
   EXPECT_THROW(w.invoke_at(1.0, 0, adt::OpId{}, adt::Value::nil()), std::out_of_range);
+}
+
+/// The message of the std::invalid_argument that set_plan(plan) throws.
+std::string plan_error(const std::vector<Call>& plan) {
+  Probe::Log log;
+  World w(config3(), [&](ProcId) { return std::make_unique<Probe>(log); });
+  try {
+    w.set_plan(plan);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "no error";
+}
+
+TEST(WorldTest, PlanValidationThrowsInvokeAtMessages) {
+  const adt::Value nil = adt::Value::nil();
+  EXPECT_EQ(plan_error({Call{1.0, 0, "silent", nil}, Call{2.0, 3, "silent", nil}}),
+            "invoke_at: bad process id");
+  EXPECT_EQ(plan_error({Call{1.0, -1, "silent", nil}}), "invoke_at: bad process id");
+  EXPECT_EQ(plan_error({Call{1.0, 0, "silent", nil}, Call{-0.5, 1, "silent", nil}}),
+            "invoke_at: time in the past");
+}
+
+TEST(WorldTest, SecondPlanThrows) {
+  Probe::Log log;
+  World w(config3(), [&](ProcId) { return std::make_unique<Probe>(log); });
+  const std::vector<Call> plan = {Call{1.0, 0, "silent", adt::Value::nil()}};
+  w.set_plan(plan);
+  EXPECT_THROW(w.set_plan(plan), std::logic_error);
+}
+
+/// A Probe that also logs which invoke handler the World called.
+class HandlerProbe final : public Probe {
+ public:
+  HandlerProbe(Log& log, std::vector<std::string>& handlers) : Probe(log), handlers_(handlers) {}
+
+  void on_invoke(Context& ctx, const std::string& op, const adt::Value& arg) override {
+    handlers_.push_back("name:" + op);
+    Probe::on_invoke(ctx, op, arg);
+  }
+  void on_invoke_id(Context& ctx, adt::OpId /*id*/, const std::string& op,
+                    const adt::Value& arg) override {
+    handlers_.push_back("id:" + op);
+    Probe::on_invoke(ctx, op, arg);
+  }
+
+ private:
+  std::vector<std::string>& handlers_;
+};
+
+TEST(WorldTest, PlannedNameTheTypeDoesNotKnowReachesStringHandler) {
+  adt::RegisterType reg;
+  WorldConfig c = config3();
+  c.type = &reg;
+  Probe::Log log;
+  std::vector<std::string> handlers;
+  World w(c, [&](ProcId) { return std::make_unique<HandlerProbe>(log, handlers); });
+  const std::vector<Call> plan = {Call{1.0, 0, adt::RegisterType::kWrite, adt::Value{7}},
+                                  Call{2.0, 1, "ping", adt::Value::nil()}};
+  w.set_plan(plan);
+  w.run();
+  EXPECT_EQ(handlers, (std::vector<std::string>{"id:write", "name:ping"}));
+  ASSERT_EQ(w.ops().size(), 2u);
+  EXPECT_EQ(w.ops()[0].op_id, reg.op_id(adt::RegisterType::kWrite));
+  EXPECT_FALSE(w.ops()[1].op_id.valid());
+}
+
+TEST(WorldTest, PlannedInvokeAtCrashedProcessIsDropped) {
+  WorldConfig c = config3();
+  c.faults.crashes.push_back(CrashEvent{0, 5.0});
+  Probe::Log log;
+  World w(c, [&](ProcId) { return std::make_unique<Probe>(log); });
+  const adt::Value nil = adt::Value::nil();
+  const std::vector<Call> plan = {Call{1.0, 0, "silent", nil}, Call{5.0, 0, "silent", nil},
+                                  Call{6.0, 1, "silent", nil}};
+  w.set_plan(plan);
+  w.run();
+  ASSERT_EQ(w.ops().size(), 2u);
+  EXPECT_EQ(w.ops()[0].invoke_real, 1.0);
+  EXPECT_EQ(w.ops()[1].proc, 1);
 }
 
 }  // namespace
