@@ -1,5 +1,6 @@
 #include "sim/world.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -20,6 +21,20 @@ constexpr Time kTol = 1e-7;
 // All event times are snapped to the EventRing's 1e-9 grid (snap(), see
 // sim/event_ring.hpp), which is what makes its bucket numbering a monotone
 // function of event times.
+
+/// The first grid point at or after `t`, for timer expiries: a timer set for
+/// D must not fire before D has passed, so its expiry rounds up, never down
+/// (snap() would fire a timer of 4/3 set at t = 5 at 6.333333333, 3.3e-10
+/// early).  A value within float noise above a grid point -- 1e-3 ticks, or
+/// a few units in the last place at large times -- is on that point, so
+/// values equal in exact arithmetic still land on one grid point.
+Time snap_up(Time t) {
+  const double ticks = t * kTickGrid;
+  const double nearest = std::round(ticks);
+  const double noise =
+      std::max(1e-3, 4 * std::numeric_limits<double>::epsilon() * std::abs(ticks));
+  return (ticks - nearest > noise ? nearest + 1 : nearest) / kTickGrid;
+}
 
 }  // namespace
 
@@ -58,7 +73,7 @@ class World::ContextImpl final : public Context {
     // A local-clock duration takes delay / rate real time (rate 1, the
     // paper's model, makes them equal).
     const Time rate = world_.config_.clock_rates[static_cast<std::size_t>(self_)];
-    world_.push_ring(EventKind::kTimer, snap(world_.now_ + delay / rate), self_, id, 0);
+    world_.push_ring(EventKind::kTimer, snap_up(world_.now_ + delay / rate), self_, id, 0);
     return TimerId{id};
   }
 

@@ -1,12 +1,17 @@
 // Lemma 4's exact response times, parameterized over the tradeoff X:
 //   |AOP| = d - X,  |MOP| = X + eps,  |OOP| = d + eps (worst case; may
 // complete early when another instance's execute timer drains it first).
+// Across the tradeoff scenario's grid, every timer-driven response comes no
+// earlier than its bound and less than one event-grid tick after it.
 
 #include <gtest/gtest.h>
 
 #include "adt/queue_type.hpp"
 #include "adt/rmw_register_type.hpp"
+#include "core/timing_policy.hpp"
 #include "harness/runner.hpp"
+#include "scenario/expand.hpp"
+#include "scenario/scenario.hpp"
 
 namespace lintime::core {
 namespace {
@@ -107,6 +112,32 @@ INSTANTIATE_TEST_SUITE_P(XSweep, LatencyTest,
                            }
                            return name;
                          });
+
+TEST(TradeoffGridTest, TimerDrivenLatenciesReachTheirBounds) {
+  // Pure accessors respond at one d - X timer and pure mutators at one
+  // X + eps timer.  At n = 3, eps = 4/3 puts both off the 1e-9 event grid,
+  // so a timer expiry rounded to the nearest grid point could fire up to
+  // half a tick early; it must round up instead.  1e-12 absorbs the float
+  // noise of subtracting two grid times.
+  const auto campaign = scenario::expand(
+      scenario::load_scenario_file(std::string(LINTIME_SCENARIO_DIR) + "/tradeoff.toml"));
+  std::size_t checked = 0;
+  for (const auto& job : campaign.spec.jobs) {
+    const auto timing = TimingPolicy::standard(job.spec.params, job.spec.X);
+    const auto result = harness::execute(*job.type, job.spec);
+    for (const auto& op : result.record.ops) {
+      const auto category = job.type->spec(op.op).category;
+      if (category == adt::OpCategory::kMixed) continue;
+      const double bound = category == adt::OpCategory::kPureAccessor ? timing.aop_bound()
+                                                                        : timing.mop_bound();
+      ASSERT_TRUE(op.complete()) << job.name;
+      EXPECT_GE(op.latency(), bound - 1e-12) << job.name << " " << op.to_string();
+      EXPECT_LT(op.latency(), bound + 1e-9) << job.name << " " << op.to_string();
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 500u);
+}
 
 }  // namespace
 }  // namespace lintime::core

@@ -100,13 +100,14 @@ TEST(RunnerTest, OpenLoopResponseDoesNotAdvanceScript) {
   ASSERT_EQ(ops.size(), 3u);
   EXPECT_EQ(ops[0].op, "read");
   EXPECT_DOUBLE_EQ(ops[0].response_real, 10.0);
-  // write(1) at script_start, write(2) right after its response; |MOP| = eps.
+  // write(1) at script_start, write(2) right after its response; |MOP| =
+  // eps = 4/3, and each ACK timer's expiry rounds up to the 1e-9 grid.
   EXPECT_EQ(ops[1].arg, Value{1});
   EXPECT_DOUBLE_EQ(ops[1].invoke_real, 30.0);
-  EXPECT_NEAR(ops[1].response_real, 30.0 + spec.params.eps, 1e-9);
+  EXPECT_DOUBLE_EQ(ops[1].response_real, 31.333333334);
   EXPECT_EQ(ops[2].arg, Value{2});
   EXPECT_DOUBLE_EQ(ops[2].invoke_real, ops[1].response_real);
-  EXPECT_NEAR(ops[2].response_real, 30.0 + 2 * spec.params.eps, 1e-9);
+  EXPECT_DOUBLE_EQ(ops[2].response_real, 32.666666668);
 }
 
 // not_before starts a script late (p1), chains a second script behind a

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include "adt/queue_type.hpp"
+#include "adt/register_type.hpp"
 #include "harness/runner.hpp"
+#include "lin/checker.hpp"
 
 namespace lintime::shift {
 namespace {
@@ -142,6 +144,39 @@ TEST(AdmissibilityTest, DelayViolationsDetectedBothWays) {
   }
   EXPECT_TRUE(low);
   EXPECT_TRUE(high);
+}
+
+TEST(AdmissibilityTest, FullSkewShiftOfAlgorithmOneStaysLinearizable) {
+  // Theorem 1 at the edge of admissibility.  n = 3 and u = 2 give
+  // eps = 4/3, off the 1e-9 event grid.  Every process writes at t = 5 and
+  // reads at t = 40 under delays D_ij = d - u/2 - (x_j - x_i)/2, which the
+  // shift x = (0, -eps/2, -eps) turns into delays within [d - u, d] at skew
+  // exactly eps.  The shifted run is then a run of the same algorithm, so
+  // it must be linearizable.  A write's ACK timer (X + eps at X = 0) that
+  // fires 3.3e-10 early puts p2's shifted response before p0's write is
+  // invoked, while every read returns p2's value.
+  adt::RegisterType reg;
+  RunSpec spec;
+  spec.params = sim::ModelParams{3, 10.0, 2.0, 0.0};
+  spec.params.eps = spec.params.optimal_eps();
+  const double eps = spec.params.eps;
+  const std::vector<double> x = {0.0, -eps / 2, -eps};
+  std::vector<std::vector<double>> delays(3, std::vector<double>(3, spec.params.d));
+  for (std::size_t i = 0; i < 3; ++i) {
+    for (std::size_t j = 0; j < 3; ++j) {
+      delays[i][j] = spec.params.d - spec.params.u / 2 - (x[j] - x[i]) / 2;
+    }
+  }
+  spec.delays = std::make_shared<sim::MatrixDelay>(delays);
+  for (sim::ProcId p = 0; p < 3; ++p) {
+    spec.calls.push_back(Call{5.0, p, "write", Value{p + 1}});
+    spec.calls.push_back(Call{40.0, p, "read", Value::nil()});
+  }
+  const auto shifted = shift_run(harness::execute(reg, spec).record, x);
+  const auto report = check_admissibility(shifted);
+  ASSERT_TRUE(report.admissible);
+  EXPECT_NEAR(report.max_skew, eps, 1e-12);
+  EXPECT_TRUE(lin::check_linearizability(reg, shifted).linearizable);
 }
 
 TEST(ExtractMatrixTest, RecoversUniformDelays) {
