@@ -4,6 +4,7 @@
 // classifier, and the shifting machinery.
 
 #include <benchmark/benchmark.h>
+#include <sys/resource.h>
 
 #include <string>
 #include <thread>
@@ -298,11 +299,15 @@ BENCHMARK(BM_FastCheckerThroughput_PQueue)->Arg(10000)->Arg(100000)->Arg(1000000
 /// End-to-end serving throughput at keyspace scale: a ShardedStore of
 /// registers with as many keys as operations, served by per-shard
 /// Algorithm 1 instances over n = 8 processes with an OPEN-LOOP pre-scheduled
-/// arrival plan (the whole plan sits in the event ring, so the scheduler
-/// carries 10^5-10^6 pending events), ops-only recording.  The plan is
-/// materialized once, outside the timed loop.  Run by the CI smoke job next
-/// to BM_CheckerThroughput.  The _Ring suffix is the name the committed
-/// results (BENCH_serving.json, tools/ci/bench_baseline.json) are keyed on.
+/// arrival plan of 10^5-10^6 calls (the World reads it in place and stages
+/// each call into the event ring as its epoch comes near), ops-only
+/// recording.  The plan is materialized once, outside the timed loop.
+/// peak_rss_mb is the process's peak resident set after the loop (in MB of
+/// 10^6 bytes, as perfbench reports it); ru_maxrss covers the whole process,
+/// so run each point in its own process (--benchmark_filter) to read one
+/// point's footprint.  Run by the CI smoke job next to BM_CheckerThroughput.
+/// The _Ring suffix is the name the committed results (BENCH_serving.json,
+/// tools/ci/bench_baseline.json) are keyed on.
 void BM_ServingThroughput_Ring(benchmark::State& state) {
   const auto total_ops = static_cast<std::int64_t>(state.range(0));
   const int n = 8;
@@ -325,6 +330,9 @@ void BM_ServingThroughput_Ring(benchmark::State& state) {
   }
   state.counters["ops_per_sec"] =
       benchmark::Counter(static_cast<double>(completed), benchmark::Counter::kIsRate);
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  state.counters["peak_rss_mb"] = static_cast<double>(usage.ru_maxrss) * 1024.0 / 1e6;
   state.SetLabel(store.name());
 }
 BENCHMARK(BM_ServingThroughput_Ring)->Arg(100000)->Arg(1000000)->Unit(benchmark::kMillisecond);

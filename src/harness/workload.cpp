@@ -153,8 +153,8 @@ WorkloadPlan ShardedWorkloadGen::generate(const adt::DataType& type,
   }
 
   // Round-robin over processes inside each arrival epoch keeps the plan
-  // strictly time-ascending, which is what lets the event ring take far
-  // pushes on its O(1) monotone lane.
+  // strictly time-ascending, so the World reads it in place without sorting
+  // it (World::set_plan).
   plan.calls.reserve(static_cast<std::size_t>(n) * static_cast<std::size_t>(o.ops_per_proc));
   for (int i = 0; i < o.ops_per_proc; ++i) {
     // Arrival epoch i starts at i*spacing when steady; under bursts, epochs

@@ -132,7 +132,7 @@ class EventRing {
   [[nodiscard]] std::size_t size() const { return size_; }
 
   void push(RingEvent ev) {
-    const std::int64_t bn = tick_of(ev.when) / width_;
+    const std::int64_t bn = bucket_of(ev.when);
     ++size_;
     if (bn <= cur_num_) {
       // Lands in the bucket being drained (zero-delay timer, same-time
@@ -184,19 +184,15 @@ class EventRing {
     plan_size_ = size;
     plan_first_order_ = first_order;
     size_ += size;
-    for (std::size_t i = 1; i < size; ++i) {
-      if (snap(calls[i].when) >= snap(calls[i - 1].when)) continue;
-      if (size > std::numeric_limits<std::uint32_t>::max()) {
-        throw std::length_error("EventRing::set_plan: unsorted plan too large");
-      }
-      plan_order_.resize(size);
-      std::iota(plan_order_.begin(), plan_order_.end(), std::uint32_t{0});
-      std::stable_sort(plan_order_.begin(), plan_order_.end(),
-                       [calls](std::uint32_t a, std::uint32_t b) {
-                         return snap(calls[a].when) < snap(calls[b].when);
-                       });
-      break;
+    const auto earlier = [](const Call& a, const Call& b) { return snap(a.when) < snap(b.when); };
+    if (std::is_sorted(calls, calls + size, earlier)) return;
+    if (size > std::numeric_limits<std::uint32_t>::max()) {
+      throw std::length_error("EventRing::set_plan: unsorted plan too large");
     }
+    plan_order_.resize(size);
+    std::iota(plan_order_.begin(), plan_order_.end(), std::uint32_t{0});
+    std::stable_sort(plan_order_.begin(), plan_order_.end(),
+                     [&](std::uint32_t a, std::uint32_t b) { return earlier(calls[a], calls[b]); });
   }
 
   /// The plan's call `i`: the call a kPlanSlot event with id i invokes.

@@ -1,15 +1,20 @@
 #!/usr/bin/env python3
-"""Fail-soft throughput regression check for the CI bench smoke.
+"""Fail-soft regression check for the CI bench smoke.
 
 Every entry of the committed baseline names a google-benchmark run and one or
-more rate counters (higher is better), for example
+more counters, for example
 
-    "BM_ServingThroughput_Ring/100000": {"ops_per_sec": 422303.0},
+    "BM_ServingThroughput_Ring/100000": {"ops_per_sec": 422303.0,
+                                         "peak_rss_mb": 40.2},
     "BM_CheckerThroughput_Queue": {"nodes_per_sec": 4.1e6}
+
+Rate counters (higher is better) warn when the fresh value fell more than
+the threshold below the baseline.  The counters named in LOWER_IS_BETTER
+(peak memory) warn when it rose more than the threshold above it.
 
 For each of them the fresh value is looked up in the google-benchmark JSON
 files given with --fresh, and a GitHub `::warning::` annotation is printed
-when it dropped by more than the threshold (default 20%).  ALWAYS exits 0:
+when it regressed by more than the threshold (default 20%).  ALWAYS exits 0:
 CI runners are shared and noisy, so a slow run must never block a merge --
 the annotation puts the number in front of a human instead.
 
@@ -24,6 +29,9 @@ python3.
 import argparse
 import json
 import sys
+
+# Counters where a smaller value is better; every other counter is a rate.
+LOWER_IS_BETTER = {"peak_rss_mb"}
 
 
 def warn(message: str) -> None:
@@ -63,7 +71,7 @@ def main() -> None:
         "--threshold",
         type=float,
         default=0.20,
-        help="warn when a fresh rate falls more than this fraction below baseline",
+        help="warn when a fresh value is worse than baseline by more than this fraction",
     )
     args = parser.parse_args()
 
@@ -85,9 +93,16 @@ def main() -> None:
                 continue
             fresh = float(row[counter])
             ratio = fresh / base
-            line = f"{name} {counter}: fresh {fresh:,.0f}/s vs baseline {base:,.0f}/s ({ratio:.2f}x)"
-            if ratio < 1.0 - args.threshold:
-                warn(f"throughput regressed >{args.threshold:.0%}: {line}")
+            if counter in LOWER_IS_BETTER:
+                line = f"{name} {counter}: fresh {fresh:,.1f} vs baseline {base:,.1f} ({ratio:.2f}x)"
+                regressed = ratio > 1.0 + args.threshold
+                what = "peak memory grew"
+            else:
+                line = f"{name} {counter}: fresh {fresh:,.0f}/s vs baseline {base:,.0f}/s ({ratio:.2f}x)"
+                regressed = ratio < 1.0 - args.threshold
+                what = "throughput regressed"
+            if regressed:
+                warn(f"{what} >{args.threshold:.0%}: {line}")
             else:
                 print(f"check_bench_regress: OK — {line}")
     sys.exit(0)
