@@ -323,6 +323,7 @@ void World::schedule_invoke(Time when, ProcId proc, std::string op, adt::OpId op
   check_invoke(when, proc);
   const std::uint64_t id = next_invoke_id_++;
   pending_invokes_.insert(id, PendingInvoke{std::move(op), std::move(arg), op_id});
+  ++scheduled_invokes_;
   push_ring(EventKind::kInvoke, snap(when), proc, id, 0);
 }
 
@@ -340,10 +341,10 @@ void World::set_plan(const std::vector<Call>& calls) {
 // must replay byte-identically from the seed, so detlint's reachability pass
 // bans wall-clock/randomness/hash-order tokens below this frame.
 void World::run(std::uint64_t max_events) {
-  // An open-loop serving plan holds 10^5-10^6 invocations, and each becomes
-  // one OpRecord, so pre-size the vector once instead of paying ~20 growth
-  // copies of million-element records.
-  record_.ops.reserve(record_.ops.size() + ring_.plan_unstaged());
+  // Every scheduled invocation becomes one OpRecord, and an open-loop
+  // serving plan holds 10^5-10^6 of them, so pre-size the vector once
+  // instead of paying ~20 growth copies of million-element records.
+  record_.ops.reserve(record_.ops.size() + ring_.plan_unstaged() + scheduled_invokes_);
   std::uint64_t handled = 0;
   while (!ring_.empty()) {
     if (++handled > max_events) {
@@ -380,7 +381,10 @@ void World::dispatch_impl(EventKind kind, ProcId proc, std::uint64_t id,
     // robustness against hand-scheduled events.
     switch (kind) {
       case EventKind::kInvoke:
-        if (payload_slot != kPlanSlot) pending_invokes_.take(id);
+        if (payload_slot != kPlanSlot) {
+          pending_invokes_.take(id);
+          --scheduled_invokes_;
+        }
         break;
       case EventKind::kDeliver:
         if (auto* sp = payloads_.find(payload_slot); sp != nullptr) {
@@ -421,6 +425,7 @@ void World::dispatch_impl(EventKind kind, ProcId proc, std::uint64_t id,
       } else {
         auto inv = pending_invokes_.take(id);
         if (!inv) break;  // should not happen
+        --scheduled_invokes_;
         op.op = std::move(inv->op);
         op.arg = std::move(inv->arg);
         op.op_id = inv->op_id;

@@ -246,6 +246,7 @@ class World {
   SlotMap<PendingTimer> timers_;            ///< live timers
   SlotMap<SharedPayload> payloads_;         ///< message payload arena
   SlotMap<PendingInvoke> pending_invokes_;  ///< scheduled invocations
+  std::size_t scheduled_invokes_ = 0;       ///< entries in pending_invokes_
 
   /// Pending invocation per process (index into record_.ops), or -1.
   std::vector<std::int64_t> pending_op_;

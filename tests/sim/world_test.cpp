@@ -395,7 +395,26 @@ TEST(WorldTest, PlannedNameTheTypeDoesNotKnowReachesStringHandler) {
   EXPECT_FALSE(w.ops()[1].op_id.valid());
 }
 
+TEST(WorldTest, PlanTiesLikeInvokeAtCallsInItsPlace) {
+  // At one instant, invocations pop in the order they were scheduled: the
+  // plan's calls take the place that invoke_at calls made in their stead
+  // would have.
+  Probe::Log log;
+  World w(config3(), [&](ProcId) { return std::make_unique<Probe>(log); });
+  const adt::Value nil = adt::Value::nil();
+  w.invoke_at(5.0, 2, "silent", nil);
+  const std::vector<Call> plan = {Call{5.0, 1, "silent", nil}, Call{5.0, 0, "silent", nil}};
+  w.set_plan(plan);
+  w.invoke_at(5.0, 1, "silent", nil);
+  w.run();
+  std::vector<ProcId> order;
+  for (const auto& op : w.ops()) order.push_back(op.proc);
+  EXPECT_EQ(order, (std::vector<ProcId>{2, 1, 0, 1}));
+}
+
 TEST(WorldTest, PlannedInvokeAtCrashedProcessIsDropped) {
+  // The dropped call is plan index 1; the invocation scheduled by invoke_at
+  // takes invoke id 1, and dropping the one must not drop the other.
   WorldConfig c = config3();
   c.faults.crashes.push_back(CrashEvent{0, 5.0});
   Probe::Log log;
@@ -404,10 +423,12 @@ TEST(WorldTest, PlannedInvokeAtCrashedProcessIsDropped) {
   const std::vector<Call> plan = {Call{1.0, 0, "silent", nil}, Call{5.0, 0, "silent", nil},
                                   Call{6.0, 1, "silent", nil}};
   w.set_plan(plan);
+  w.invoke_at(7.0, 1, "silent", nil);
   w.run();
-  ASSERT_EQ(w.ops().size(), 2u);
+  ASSERT_EQ(w.ops().size(), 3u);
   EXPECT_EQ(w.ops()[0].invoke_real, 1.0);
-  EXPECT_EQ(w.ops()[1].proc, 1);
+  EXPECT_EQ(w.ops()[1].invoke_real, 6.0);
+  EXPECT_EQ(w.ops()[2].invoke_real, 7.0);
 }
 
 }  // namespace
