@@ -180,19 +180,22 @@ class EventRing {
     if (plan_size_ != 0 || cur_num_ >= 0) {
       throw std::logic_error("EventRing::set_plan: one plan, set before the first pop");
     }
+    const auto earlier = [](const Call& a, const Call& b) { return snap(a.when) < snap(b.when); };
+    if (!std::is_sorted(calls, calls + size, earlier)) {
+      if (size > std::numeric_limits<std::uint32_t>::max()) {
+        throw std::length_error("EventRing::set_plan: unsorted plan too large");
+      }
+      plan_order_.resize(size);
+      std::iota(plan_order_.begin(), plan_order_.end(), std::uint32_t{0});
+      std::stable_sort(plan_order_.begin(), plan_order_.end(),
+                       [&](std::uint32_t a, std::uint32_t b) {
+                         return earlier(calls[a], calls[b]);
+                       });
+    }
     plan_ = calls;
     plan_size_ = size;
     plan_first_order_ = first_order;
     size_ += size;
-    const auto earlier = [](const Call& a, const Call& b) { return snap(a.when) < snap(b.when); };
-    if (std::is_sorted(calls, calls + size, earlier)) return;
-    if (size > std::numeric_limits<std::uint32_t>::max()) {
-      throw std::length_error("EventRing::set_plan: unsorted plan too large");
-    }
-    plan_order_.resize(size);
-    std::iota(plan_order_.begin(), plan_order_.end(), std::uint32_t{0});
-    std::stable_sort(plan_order_.begin(), plan_order_.end(),
-                     [&](std::uint32_t a, std::uint32_t b) { return earlier(calls[a], calls[b]); });
   }
 
   /// The plan's call `i`: the call a kPlanSlot event with id i invokes.
