@@ -21,10 +21,9 @@
 // within the ring horizon (buckets cur..cur+B-1) go straight to their
 // bucket; farther events wait and enter the ring as it advances, so
 // arbitrarily sparse schedules stay correct (the ring jumps, it never scans
-// empty epochs).  Three sources wait beyond the horizon: a min-heap staging
-// area, a FIFO lane for far pushes that arrive in key order, and an
-// open-loop plan read in place (set_plan), whose calls become events only
-// when their epoch comes near.
+// empty epochs).  Two sources wait beyond the horizon: a min-heap staging
+// area for far pushes, and an open-loop plan read in place (set_plan),
+// whose calls become events only when their epoch comes near.
 
 #include <algorithm>
 #include <bit>
@@ -148,15 +147,7 @@ class EventRing {
       stage(ev, bn);
       return;
     }
-    // Beyond the horizon.  Far pushes that arrive in nondecreasing key order
-    // (a time-ascending plan submitted call by call through
-    // World::invoke_at) ride an O(1) append/consume FIFO lane; out-of-order
-    // stragglers pay the staging heap's O(log n).
-    if (far_fifo_pos_ == far_fifo_.size() || !ring_event_less(ev, far_fifo_.back())) {
-      far_fifo_.push_back(ev);
-      return;
-    }
-    far_.push(ev);
+    far_.push(ev);  // beyond the horizon
   }
 
   /// Removes and returns the smallest (when, order) event.  Throws
@@ -245,14 +236,11 @@ class EventRing {
     return plan_order_.empty() ? pos : plan_order_[pos];
   }
 
-  /// Bucket of the earliest event waiting beyond the horizon (staging heap,
-  /// FIFO lane or plan), or INT64_MAX when none waits.
+  /// Bucket of the earliest event waiting beyond the horizon (staging heap
+  /// or plan), or INT64_MAX when none waits.
   [[nodiscard]] std::int64_t far_bucket() const {
     std::int64_t bn = std::numeric_limits<std::int64_t>::max();
     if (!far_.empty()) bn = bucket_of(far_.top().when);
-    if (far_fifo_pos_ < far_fifo_.size()) {
-      bn = std::min(bn, bucket_of(far_fifo_[far_fifo_pos_].when));
-    }
     if (plan_pos_ < plan_size_) {
       bn = std::min(bn, bucket_of(snap(plan_[plan_index(plan_pos_)].when)));
     }
@@ -285,15 +273,6 @@ class EventRing {
     while (!far_.empty() && bucket_of(far_.top().when) <= limit) {
       stage(far_.top(), bucket_of(far_.top().when));
       far_.pop();
-    }
-    while (far_fifo_pos_ < far_fifo_.size() &&
-           bucket_of(far_fifo_[far_fifo_pos_].when) <= limit) {
-      stage(far_fifo_[far_fifo_pos_], bucket_of(far_fifo_[far_fifo_pos_].when));
-      ++far_fifo_pos_;
-    }
-    if (far_fifo_pos_ == far_fifo_.size() && far_fifo_pos_ > 0) {
-      far_fifo_.clear();
-      far_fifo_pos_ = 0;
     }
     // Plan calls enter in time order, so the first one beyond the limit ends
     // the stage-in.
@@ -334,14 +313,13 @@ class EventRing {
   std::size_t cur_pos_ = 0;
   std::int64_t cur_num_ = -1;   ///< bucket number loaded into cur_
   std::size_t ring_count_ = 0;  ///< events held in slots_
+  /// Pushes beyond the horizon, staged in as the ring advances.
   std::priority_queue<RingEvent, std::vector<RingEvent>, FarGreater> far_;
-  std::vector<RingEvent> far_fifo_;  ///< nondecreasing far pushes, consumed front-to-back
-  std::size_t far_fifo_pos_ = 0;     ///< first unconsumed far_fifo_ index
-  const Call* plan_ = nullptr;       ///< the open-loop plan, read in place
+  const Call* plan_ = nullptr;  ///< the open-loop plan, read in place
   std::size_t plan_size_ = 0;
-  std::size_t plan_pos_ = 0;                ///< next position in time order to stage
-  std::vector<std::uint32_t> plan_order_;   ///< time order of an unsorted plan; else empty
-  std::uint64_t plan_first_order_ = 0;      ///< RingEvent::order of call 0
+  std::size_t plan_pos_ = 0;               ///< next position in time order to stage
+  std::vector<std::uint32_t> plan_order_;  ///< time order of an unsorted plan; else empty
+  std::uint64_t plan_first_order_ = 0;     ///< RingEvent::order of call 0
   std::size_t size_ = 0;  ///< events held, plan calls not yet staged included
 };
 

@@ -74,7 +74,8 @@ class SlotMap {
 
   [[nodiscard]] bool empty() const { return size() == 0; }
 
-  /// Number of live entries.  O(slots); never on the dispatch path.
+  /// Number of live entries.  O(slots); used once per run to pre-size the
+  /// op record vector, never on the dispatch path.
   [[nodiscard]] std::size_t size() const {
     std::size_t n = 0;
     for (const auto& block : blocks_) {

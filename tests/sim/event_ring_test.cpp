@@ -261,9 +261,9 @@ TEST(EventRingTest, UnsortedPlanPopsInTimeThenPlanOrder) {
 
 TEST(EventRingTest, PlanBeyondHorizonBesideStagingHeap) {
   // An 8-tick horizon: plan calls at ticks 20, 30 and 100 wait beyond it
-  // next to a FIFO-lane event at tick 100 and staging-heap events (pushed
-  // out of order) at ticks 25, 30 and 40.  At tick 100 the lane event's
-  // rank 0 pops before the plan's rank 2.
+  // next to staging-heap events (pushed out of order) at ticks 100, 40, 25
+  // and 30.  At tick 100 the heap event's rank 0 pops before the plan's
+  // rank 2.
   EventRing ring(1, 8);
   ring.push(ev(100.0 / kTickGrid, 0, 3));
   ring.push(ev(40.0 / kTickGrid, 1, 1));
