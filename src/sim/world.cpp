@@ -323,7 +323,6 @@ void World::schedule_invoke(Time when, ProcId proc, std::string op, adt::OpId op
   check_invoke(when, proc);
   const std::uint64_t id = next_invoke_id_++;
   pending_invokes_.insert(id, PendingInvoke{std::move(op), std::move(arg), op_id});
-  ++scheduled_invokes_;
   push_ring(EventKind::kInvoke, snap(when), proc, id, 0);
 }
 
@@ -344,7 +343,7 @@ void World::run(std::uint64_t max_events) {
   // Every scheduled invocation becomes one OpRecord, and an open-loop
   // serving plan holds 10^5-10^6 of them, so pre-size the vector once
   // instead of paying ~20 growth copies of million-element records.
-  record_.ops.reserve(record_.ops.size() + ring_.plan_unstaged() + scheduled_invokes_);
+  record_.ops.reserve(record_.ops.size() + ring_.plan_unstaged() + pending_invokes_.size());
   std::uint64_t handled = 0;
   while (!ring_.empty()) {
     if (++handled > max_events) {
@@ -381,10 +380,7 @@ void World::dispatch_impl(EventKind kind, ProcId proc, std::uint64_t id,
     // robustness against hand-scheduled events.
     switch (kind) {
       case EventKind::kInvoke:
-        if (payload_slot != kPlanSlot) {
-          pending_invokes_.take(id);
-          --scheduled_invokes_;
-        }
+        if (payload_slot != kPlanSlot) pending_invokes_.take(id);
         break;
       case EventKind::kDeliver:
         if (auto* sp = payloads_.find(payload_slot); sp != nullptr) {
@@ -425,7 +421,6 @@ void World::dispatch_impl(EventKind kind, ProcId proc, std::uint64_t id,
       } else {
         auto inv = pending_invokes_.take(id);
         if (!inv) break;  // should not happen
-        --scheduled_invokes_;
         op.op = std::move(inv->op);
         op.arg = std::move(inv->arg);
         op.op_id = inv->op_id;

@@ -126,6 +126,7 @@ class World {
   /// outlive run() unchanged.  One plan per World, set before run(); throws
   /// invoke_at's std::invalid_argument on the first bad call.
   void set_plan(const std::vector<Call>& calls);
+  void set_plan(std::vector<Call>&&) = delete;  ///< a temporary would dangle
 
   /// Registers a hook called on every operation response; the hook may call
   /// invoke_at (closed-loop workloads).
@@ -246,7 +247,6 @@ class World {
   SlotMap<PendingTimer> timers_;            ///< live timers
   SlotMap<SharedPayload> payloads_;         ///< message payload arena
   SlotMap<PendingInvoke> pending_invokes_;  ///< scheduled invocations
-  std::size_t scheduled_invokes_ = 0;       ///< entries in pending_invokes_
 
   /// Pending invocation per process (index into record_.ops), or -1.
   std::vector<std::int64_t> pending_op_;

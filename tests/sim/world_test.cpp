@@ -9,6 +9,7 @@
 
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "adt/register_type.hpp"
@@ -350,6 +351,13 @@ TEST(WorldTest, PlanValidationThrowsInvokeAtMessages) {
   EXPECT_EQ(plan_error({Call{1.0, 0, "silent", nil}, Call{-0.5, 1, "silent", nil}}),
             "invoke_at: time in the past");
 }
+
+// The World reads a plan in place until run() ends, so a temporary plan
+// must not compile.
+template <typename Plan>
+constexpr bool kTakesPlan = requires(World& w, Plan&& plan) { w.set_plan(std::forward<Plan>(plan)); };
+static_assert(kTakesPlan<const std::vector<Call>&>);
+static_assert(!kTakesPlan<std::vector<Call>>);
 
 TEST(WorldTest, SecondPlanThrows) {
   Probe::Log log;
