@@ -4,20 +4,20 @@
 // delays, while the centralized baseline's latency tracks the delay
 // distribution.  Swept over delay spreads (u) and seeds.
 //
-// The sweep is a campaign: the u x algorithm x seed grid expands to one job
-// per (u, algo, seed), all executed by the campaign worker pool; per-op
-// distributions are then pooled from the per-job latency samples.
+// The sweep is the campaign of scenarios/latency.toml: its u x algorithm x
+// seed grid expands to one job per (u, algo, seed), all executed by the
+// campaign worker pool; per-op distributions are then pooled from the
+// per-job latency samples.
 
 #include <algorithm>
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "adt/queue_type.hpp"
 #include "campaign/executor.hpp"
-#include "campaign/grid.hpp"
 #include "harness/runner.hpp"
+#include "scenario/expand.hpp"
+#include "scenario/scenario.hpp"
 
 namespace {
 
@@ -54,37 +54,9 @@ Dist pool(const campaign::CampaignResult& result, const std::string& algo, doubl
 }  // namespace
 
 int main() {
-  adt::QueueType queue;
-
-  campaign::CampaignSpec spec;
-  spec.name = "latency-distribution";
-  const auto points = campaign::Grid{}
-                          .axis("u", std::vector<double>{0.5, 2.0, 4.0})
-                          .axis("algo", {std::string("algorithm1"), std::string("centralized")})
-                          .range("seed", 1, 20)
-                          .points();
-  for (const auto& p : points) {
-    sim::ModelParams params{5, 10.0, p.num("u"), 0.0};
-    params.eps = params.optimal_eps();
-    const auto seed = static_cast<std::uint64_t>(p.integer("seed"));
-
-    campaign::Job job;
-    job.name = p.label();
-    job.tags = p.coords();
-    job.type = &queue;
-    job.spec.params = params;
-    job.spec.algo = p.get("algo") == "centralized" ? harness::AlgoKind::kCentralized
-                                                   : harness::AlgoKind::kAlgorithmOne;
-    job.spec.X = job.spec.algo == harness::AlgoKind::kAlgorithmOne
-                     ? (params.d - params.eps) / 2
-                     : 0.0;
-    job.spec.delays =
-        std::make_shared<sim::UniformRandomDelay>(params.min_delay(), params.d, seed);
-    job.spec.scripts = harness::random_scripts(queue, params.n, 6, seed * 31);
-    spec.jobs.push_back(std::move(job));
-  }
-
-  const auto result = campaign::run_campaign(spec);
+  const auto campaign =
+      scenario::expand(scenario::load_scenario_file(LINTIME_SCENARIO_DIR "/latency.toml"));
+  const auto result = campaign::run_campaign(campaign.spec);
 
   std::printf("Latency distributions under uniformly random delays in [d-u, d]\n");
   std::printf("(20 seeds x 6 ops/process; Algorithm 1 at X = (d-eps)/2; %zu campaign jobs)\n\n",

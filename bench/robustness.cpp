@@ -20,6 +20,7 @@
 #include "campaign/executor.hpp"
 #include "campaign/sink.hpp"
 #include "harness/runner.hpp"
+#include "harness/workload.hpp"
 
 namespace {
 
@@ -51,18 +52,10 @@ campaign::CampaignSpec build_campaign(const adt::DataType& type) {
       job.spec.drop_probability = level;
       job.spec.drop_seed = static_cast<std::uint64_t>(seed) * 13;
     }
-    // Long workload so drift has time to accumulate: ~800 time units.
-    const auto scripts =
-        harness::random_scripts(type, params.n, 20, static_cast<std::uint64_t>(seed) * 7);
-    double t = 0;
-    for (std::size_t i = 0; i < 20; ++i) {
-      for (int p = 0; p < params.n; ++p) {
-        job.spec.calls.push_back(harness::Call{t + p * 0.25, p,
-                                               scripts[static_cast<std::size_t>(p)][i].op,
-                                               scripts[static_cast<std::size_t>(p)][i].arg});
-      }
-      t += 40.0;  // spaced: every op completes before the process's next
-    }
+    // Long workload so drift has time to accumulate: 20 rounds 40 apart,
+    // ~800 time units, every op completing before the process's next.
+    job.spec.workload =
+        std::make_shared<harness::StaggeredRoundsGen>(20, static_cast<std::uint64_t>(seed) * 7);
     job.check_linearizability = true;
     spec.jobs.push_back(std::move(job));
   };

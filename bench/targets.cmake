@@ -14,9 +14,12 @@ foreach(bench
     lintime_scenario)
 endforeach()
 
-# The runner resolves --campaign NAME against the checked-in corpus.
-target_compile_definitions(campaign_runner PRIVATE
-  LINTIME_SCENARIO_DIR="${CMAKE_SOURCE_DIR}/scenarios")
+# The runner resolves --campaign NAME against the checked-in corpus;
+# latency_distribution runs the corpus's latency.toml.
+foreach(bench campaign_runner latency_distribution)
+  target_compile_definitions(${bench} PRIVATE
+    LINTIME_SCENARIO_DIR="${CMAKE_SOURCE_DIR}/scenarios")
+endforeach()
 
 add_executable(micro_benchmarks bench/micro_benchmarks.cpp)
 set_target_properties(micro_benchmarks PROPERTIES RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)

@@ -1,5 +1,6 @@
 #include "core/algorithm_one.hpp"
 
+#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -28,6 +29,51 @@ Timestamp ts_of(const sim::Payload& p) { return Timestamp{p.clock, p.proc, p.seq
 
 /// The single message kind this protocol sends (line 15's announcement).
 constexpr std::uint32_t kAnnounceTag = 0;
+
+/// Context adapter of one MultiplexedProcess channel: stamps the channel
+/// into Payload::chan on every outgoing message and timer; everything else
+/// passes through to the real context.  The fan-out is single-level, so the
+/// one chan field suffices and no envelope (and no allocation) is needed --
+/// a double wrap (chan already set) is a protocol bug and throws.
+class ChannelContext final : public sim::Context {
+ public:
+  ChannelContext(sim::Context& outer, std::size_t channel)
+      : outer_(outer), channel_(static_cast<std::uint32_t>(channel)) {}
+
+  [[nodiscard]] sim::ProcId self() const override { return outer_.self(); }
+  [[nodiscard]] int n() const override { return outer_.n(); }
+  [[nodiscard]] const sim::ModelParams& params() const override { return outer_.params(); }
+  [[nodiscard]] sim::Time local_time() const override { return outer_.local_time(); }
+
+  void send(sim::ProcId dst, sim::Payload payload) override {
+    outer_.send(dst, stamp(std::move(payload)));
+  }
+  void broadcast(sim::Payload payload) override { outer_.broadcast(stamp(std::move(payload))); }
+  sim::TimerId set_timer(sim::Time delay, sim::Payload data) override {
+    return outer_.set_timer(delay, stamp(std::move(data)));
+  }
+  void cancel_timer(sim::TimerId id) override { outer_.cancel_timer(id); }
+  void respond(Value ret) override { outer_.respond(std::move(ret)); }
+
+ private:
+  [[nodiscard]] sim::Payload stamp(sim::Payload p) const {
+    if (p.chan != sim::Payload::kNoChan) {
+      throw std::logic_error("MultiplexedProcess: payload channel already in use");
+    }
+    p.chan = channel_;
+    return p;
+  }
+
+  sim::Context& outer_;
+  std::uint32_t channel_;
+};
+
+/// `p` with its channel stripped, for the instance that owns the channel.
+sim::Payload unstamped(const sim::Payload& p) {
+  sim::Payload inner = p;
+  inner.chan = sim::Payload::kNoChan;
+  return inner;
+}
 
 }  // namespace
 
@@ -155,6 +201,45 @@ Value AlgorithmOneProcess::execute_locally(adt::OpId op_id, const sim::PayloadVa
     executed_.push_back(ExecutedOp{type_.spec(op_id).name, scratch_arg_, ret, ts});
   }
   return ret;
+}
+
+// ---------------------------------------------------------------------------
+// MultiplexedProcess
+// ---------------------------------------------------------------------------
+
+void MultiplexedProcess::on_invoke(sim::Context& ctx, const std::string& op, const Value& arg) {
+  on_invoke_id(ctx, type_.op_id(op), op, arg);
+}
+
+void MultiplexedProcess::on_invoke_id(sim::Context& ctx, adt::OpId id, const std::string& op,
+                                      const Value& arg) {
+  const Route to = route(id, arg);
+  ChannelContext sub(ctx, to.channel);
+  // Algorithm 1 dispatches on the id alone; the outer name is not read.
+  instances_[to.channel]->on_invoke_id(sub, to.op, op, arg);
+}
+
+void MultiplexedProcess::on_message(sim::Context& ctx, sim::ProcId src,
+                                    const sim::Payload& payload) {
+  ChannelContext sub(ctx, payload.chan);
+  instances_.at(payload.chan)->on_message(sub, src, unstamped(payload));
+}
+
+void MultiplexedProcess::on_timer(sim::Context& ctx, sim::TimerId id, const sim::Payload& data) {
+  ChannelContext sub(ctx, data.chan);
+  instances_.at(data.chan)->on_timer(sub, id, unstamped(data));
+}
+
+std::string MultiplexedProcess::state_canonical() const {
+  std::ostringstream os;
+  for (std::size_t c = 0; c < instances_.size(); ++c) {
+    os << 's' << c << '{' << instances_[c]->state_canonical() << '}';
+  }
+  return os.str();
+}
+
+void MultiplexedProcess::set_execution_logging(bool on) {
+  for (auto& instance : instances_) instance->set_execution_logging(on);
 }
 
 }  // namespace lintime::core

@@ -21,9 +21,14 @@
 // the Timestamp <-> {clock, proc, seq} flattening live in algorithm_one.cpp;
 // the argument rides as a PayloadVal, so integer and [key, int] arguments
 // never touch the heap between invoker and replicas.
+//
+// MultiplexedProcess hosts one instance per Payload::chan channel; the tuple
+// composite (core/composite) and the sharded store route onto it.
 
+#include <cstddef>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "adt/data_type.hpp"
@@ -108,6 +113,53 @@ class AlgorithmOneProcess final : public sim::Process {
   adt::Value scratch_arg_;  ///< reused across executions (see execute_locally)
   std::uint64_t next_ts_seq_ = 0;  ///< keeps own timestamps unique
   bool log_executions_ = true;
+};
+
+/// One simulated process hosting an independent Algorithm 1 instance per
+/// channel, under one outer data type that invocations name.  Each
+/// instance's messages and timers carry its channel in Payload::chan
+/// (stamped outbound, stripped inbound; a payload whose channel is already
+/// set throws), so the instances never interfere: their timestamps,
+/// To_Execute queues and replicas are disjoint.  A derived class adds the
+/// instances in channel order and says where each invocation goes.
+class MultiplexedProcess : public sim::Process {
+ public:
+  /// Resolves `op` against the outer type (throwing DataType::op_id's
+  /// std::invalid_argument on unknown names), then routes as on_invoke_id.
+  void on_invoke(sim::Context& ctx, const std::string& op, const adt::Value& arg) final;
+  void on_invoke_id(sim::Context& ctx, adt::OpId id, const std::string& op,
+                    const adt::Value& arg) final;
+  void on_message(sim::Context& ctx, sim::ProcId src, const sim::Payload& payload) final;
+  void on_timer(sim::Context& ctx, sim::TimerId id, const sim::Payload& data) final;
+
+  /// Canonical encoding of every channel's replica state, as
+  /// `s<channel>{...}` in channel order, for convergence checks across
+  /// processes.
+  [[nodiscard]] std::string state_canonical() const;
+
+  /// Forwards to every instance (see AlgorithmOneProcess).
+  void set_execution_logging(bool on);
+
+ protected:
+  /// `type` must outlive the process.
+  explicit MultiplexedProcess(const adt::DataType& type) : type_(type) {}
+
+  /// An invocation's destination: the instance's channel, and the op's id
+  /// in that instance's data type.
+  struct Route {
+    std::size_t channel;
+    adt::OpId op;
+  };
+  [[nodiscard]] virtual Route route(adt::OpId id, const adt::Value& arg) const = 0;
+
+  /// Adds the instance of the next channel.
+  void add_channel(std::unique_ptr<AlgorithmOneProcess> instance) {
+    instances_.push_back(std::move(instance));
+  }
+
+ private:
+  const adt::DataType& type_;
+  std::vector<std::unique_ptr<AlgorithmOneProcess>> instances_;
 };
 
 }  // namespace lintime::core

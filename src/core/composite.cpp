@@ -125,73 +125,17 @@ std::vector<adt::Value> ProductType::sample_args(const std::string& op) const {
 // CompositeProcess
 // ---------------------------------------------------------------------------
 
-/// Context adapter: stamps the sub-instance's object index into
-/// Payload::chan on every outgoing message and timer; everything else passes
-/// through to the real context.  The chan field exists for exactly this kind
-/// of single-level multiplexing, so no envelope (and no allocation) is
-/// needed -- a double wrap (chan already set) is a protocol bug and throws.
-class CompositeProcess::SubContext final : public sim::Context {
- public:
-  SubContext(sim::Context& outer, std::size_t object) : outer_(outer), object_(object) {}
-
-  [[nodiscard]] sim::ProcId self() const override { return outer_.self(); }
-  [[nodiscard]] int n() const override { return outer_.n(); }
-  [[nodiscard]] const sim::ModelParams& params() const override { return outer_.params(); }
-  [[nodiscard]] sim::Time local_time() const override { return outer_.local_time(); }
-
-  void send(sim::ProcId dst, sim::Payload payload) override {
-    outer_.send(dst, stamp(std::move(payload)));
-  }
-  void broadcast(sim::Payload payload) override { outer_.broadcast(stamp(std::move(payload))); }
-  sim::TimerId set_timer(sim::Time delay, sim::Payload data) override {
-    return outer_.set_timer(delay, stamp(std::move(data)));
-  }
-  void cancel_timer(sim::TimerId id) override { outer_.cancel_timer(id); }
-  void respond(adt::Value ret) override { outer_.respond(std::move(ret)); }
-
- private:
-  [[nodiscard]] sim::Payload stamp(sim::Payload p) const {
-    if (p.chan != sim::Payload::kNoChan) {
-      throw std::logic_error("composite: payload channel already in use (nested multiplexing)");
-    }
-    p.chan = static_cast<std::uint32_t>(object_);
-    return p;
-  }
-
-  sim::Context& outer_;
-  std::size_t object_;
-};
-
 CompositeProcess::CompositeProcess(const ProductType& product, const TimingPolicy& timing)
-    : product_(product) {
-  instances_.reserve(product.components().size());
+    : MultiplexedProcess(product), product_(product) {
   for (const auto* component : product.components()) {
-    instances_.push_back(std::make_unique<AlgorithmOneProcess>(*component, timing));
+    add_channel(std::make_unique<AlgorithmOneProcess>(*component, timing));
   }
 }
 
-void CompositeProcess::on_invoke(sim::Context& ctx, const std::string& op,
-                                 const adt::Value& arg) {
-  const auto q = parse_qualified(op);
-  SubContext sub(ctx, q.object);
-  instances_.at(q.object)->on_invoke(sub, q.op, arg);
-}
-
-void CompositeProcess::on_message(sim::Context& ctx, sim::ProcId src,
-                                  const sim::Payload& payload) {
-  const auto object = static_cast<std::size_t>(payload.chan);
-  sim::Payload inner = payload;  // strip the channel before forwarding
-  inner.chan = sim::Payload::kNoChan;
-  SubContext sub(ctx, object);
-  instances_.at(object)->on_message(sub, src, inner);
-}
-
-void CompositeProcess::on_timer(sim::Context& ctx, sim::TimerId id, const sim::Payload& data) {
-  const auto object = static_cast<std::size_t>(data.chan);
-  sim::Payload inner = data;
-  inner.chan = sim::Payload::kNoChan;
-  SubContext sub(ctx, object);
-  instances_.at(object)->on_timer(sub, id, inner);
+MultiplexedProcess::Route CompositeProcess::route(adt::OpId id,
+                                                  const adt::Value& /*arg*/) const {
+  const auto& sub = product_.sub_op(id);
+  return Route{sub.object, sub.op};
 }
 
 std::vector<sim::OpRecord> restrict_to_object(const std::vector<sim::OpRecord>& ops,

@@ -7,7 +7,8 @@
 //
 //   * CompositeProcess hosts one INDEPENDENT AlgorithmOneProcess per object
 //     (separate replicas, timestamps, queues); operations are addressed as
-//     "<object-index>:<op>" and messages/timers are multiplexed.
+//     "<object-index>:<op>" and messages/timers are multiplexed on the
+//     object index (core::MultiplexedProcess).
 //   * ProductType is the composed objects viewed as ONE data type with
 //     namespaced operations, so the standard checker can decide
 //     linearizability of the COMBINED history.
@@ -23,7 +24,6 @@
 #include "adt/data_type.hpp"
 #include "core/algorithm_one.hpp"
 #include "core/timing_policy.hpp"
-#include "sim/process.hpp"
 #include "sim/run_record.hpp"
 
 namespace lintime::core {
@@ -68,23 +68,16 @@ class ProductType final : public adt::DataType {
 };
 
 /// One simulated process hosting an independent Algorithm 1 instance per
-/// object.  Invocations use qualified names; each sub-instance's messages
-/// and timers carry its object index in Payload::chan (stamped outbound,
-/// stripped inbound), so the instances never interfere (their timestamps and
-/// To_Execute queues are disjoint).
-class CompositeProcess final : public sim::Process {
+/// object, the object index as its channel.  Invocations use the product's
+/// qualified names and route by interned id (ProductType::sub_op).
+class CompositeProcess final : public MultiplexedProcess {
  public:
   CompositeProcess(const ProductType& product, const TimingPolicy& timing);
 
-  void on_invoke(sim::Context& ctx, const std::string& op, const adt::Value& arg) override;
-  void on_message(sim::Context& ctx, sim::ProcId src, const sim::Payload& payload) override;
-  void on_timer(sim::Context& ctx, sim::TimerId id, const sim::Payload& data) override;
-
  private:
-  class SubContext;
+  [[nodiscard]] Route route(adt::OpId id, const adt::Value& arg) const override;
 
   const ProductType& product_;
-  std::vector<std::unique_ptr<AlgorithmOneProcess>> instances_;
 };
 
 /// Restricts a history to the operations of one object, stripping the

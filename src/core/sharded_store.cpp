@@ -387,106 +387,28 @@ std::unique_ptr<adt::ObjectState> ShardedReplicas::replica(int shard, int column
 // ShardedServingProcess
 // ---------------------------------------------------------------------------
 
-/// Context adapter stamping the owning shard into Payload::chan on every
-/// outgoing message and timer (mirroring the tuple composite's SubContext);
-/// the shard fan-out is single-level, so the one chan field suffices and no
-/// envelope allocation exists anywhere on the serving path.
-class ShardedServingProcess::ShardContext final : public sim::Context {
- public:
-  ShardContext(sim::Context& outer, int shard) : outer_(outer), shard_(shard) {}
-
-  [[nodiscard]] sim::ProcId self() const override { return outer_.self(); }
-  [[nodiscard]] int n() const override { return outer_.n(); }
-  [[nodiscard]] const sim::ModelParams& params() const override { return outer_.params(); }
-  [[nodiscard]] sim::Time local_time() const override { return outer_.local_time(); }
-
-  void send(sim::ProcId dst, sim::Payload payload) override {
-    outer_.send(dst, stamp(std::move(payload)));
-  }
-  void broadcast(sim::Payload payload) override { outer_.broadcast(stamp(std::move(payload))); }
-  sim::TimerId set_timer(sim::Time delay, sim::Payload data) override {
-    return outer_.set_timer(delay, stamp(std::move(data)));
-  }
-  void cancel_timer(sim::TimerId id) override { outer_.cancel_timer(id); }
-  void respond(adt::Value ret) override { outer_.respond(std::move(ret)); }
-
- private:
-  [[nodiscard]] sim::Payload stamp(sim::Payload p) const {
-    if (p.chan != sim::Payload::kNoChan) {
-      throw std::logic_error("sharded store: payload channel already in use");
-    }
-    p.chan = static_cast<std::uint32_t>(shard_);
-    return p;
-  }
-
-  sim::Context& outer_;
-  int shard_;
-};
-
 ShardedServingProcess::ShardedServingProcess(const ShardedStore& store, const TimingPolicy& timing,
                                              ShardedReplicas& replicas, int column)
-    : store_(store) {
-  add_instances(timing, replicas, column);
-}
-
-ShardedServingProcess::ShardedServingProcess(const ShardedStore& store, const TimingPolicy& timing)
-    : store_(store), own_(std::make_unique<ShardedReplicas>(store, 1)) {
-  add_instances(timing, *own_, 0);
-}
-
-void ShardedServingProcess::add_instances(const TimingPolicy& timing, ShardedReplicas& replicas,
-                                          int column) {
-  instances_.reserve(static_cast<std::size_t>(store_.num_shards()));
-  for (int s = 0; s < store_.num_shards(); ++s) {
+    : MultiplexedProcess(store), store_(store) {
+  for (int s = 0; s < store.num_shards(); ++s) {
     // Every shard instance runs against the store type itself: its replica
     // is its column of the shard's rows, which hold exactly the keys routed
     // here.
-    instances_.push_back(
-        std::make_unique<AlgorithmOneProcess>(store_, timing, replicas.replica(s, column)));
+    add_channel(std::make_unique<AlgorithmOneProcess>(store, timing, replicas.replica(s, column)));
   }
 }
 
-void ShardedServingProcess::on_invoke(sim::Context& ctx, const std::string& op,
-                                      const adt::Value& arg) {
-  on_invoke_id(ctx, store_.op_id(op), op, arg);
-}
-
-void ShardedServingProcess::on_invoke_id(sim::Context& ctx, adt::OpId id, const std::string& op,
-                                         const adt::Value& arg) {
-  const auto ka = store_.split(arg);
-  const int shard = store_.shard_of(ka.key);
-  ShardContext sub(ctx, shard);
-  instances_[static_cast<std::size_t>(shard)]->on_invoke_id(sub, id, op, arg);
-}
-
-void ShardedServingProcess::on_message(sim::Context& ctx, sim::ProcId src,
-                                       const sim::Payload& payload) {
-  const auto shard = static_cast<int>(payload.chan);
-  sim::Payload inner = payload;  // strip the channel before forwarding
-  inner.chan = sim::Payload::kNoChan;
-  ShardContext sub(ctx, shard);
-  instances_.at(static_cast<std::size_t>(shard))->on_message(sub, src, inner);
-}
-
-void ShardedServingProcess::on_timer(sim::Context& ctx, sim::TimerId id,
-                                     const sim::Payload& data) {
-  const auto shard = static_cast<int>(data.chan);
-  sim::Payload inner = data;
-  inner.chan = sim::Payload::kNoChan;
-  ShardContext sub(ctx, shard);
-  instances_.at(static_cast<std::size_t>(shard))->on_timer(sub, id, inner);
-}
-
-std::string ShardedServingProcess::state_canonical() const {
-  std::ostringstream os;
-  for (std::size_t s = 0; s < instances_.size(); ++s) {
-    os << 's' << s << '{' << instances_[s]->state_canonical() << '}';
+ShardedServingProcess::ShardedServingProcess(const ShardedStore& store, const TimingPolicy& timing)
+    : MultiplexedProcess(store), store_(store) {
+  for (int s = 0; s < store.num_shards(); ++s) {
+    add_channel(std::make_unique<AlgorithmOneProcess>(store, timing));
   }
-  return os.str();
 }
 
-void ShardedServingProcess::set_execution_logging(bool on) {
-  for (auto& instance : instances_) instance->set_execution_logging(on);
+MultiplexedProcess::Route ShardedServingProcess::route(adt::OpId id,
+                                                       const adt::Value& arg) const {
+  // The instances run against the store type, so the id passes through.
+  return Route{static_cast<std::size_t>(store_.shard_of(store_.split(arg).key)), id};
 }
 
 // ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@
 // operations IN ORDER, so a store-level adt::OpId and the component-level id
 // share the same index -- routing an invocation means splitting the key out
 // of the argument envelope and hashing it to a shard; no string is parsed
-// anywhere on the hot path (contrast the "<object>:<op>" parsing of the
-// tuple composite).
+// anywhere on the hot path.  The channel multiplexing itself is
+// core::MultiplexedProcess, shared with the tuple composite.
 
 #include <cstdint>
 #include <memory>
@@ -25,7 +25,6 @@
 #include "adt/data_type.hpp"
 #include "core/algorithm_one.hpp"
 #include "core/timing_policy.hpp"
-#include "sim/process.hpp"
 #include "sim/run_record.hpp"
 
 namespace lintime::core {
@@ -120,41 +119,24 @@ class ShardedReplicas {
 };
 
 /// One simulated process serving a ShardedStore: an independent Algorithm 1
-/// instance per shard, each running against the store type (its replica is a
-/// keyed state that materializes only the keys routed to that shard).
-/// Messages and timers are multiplexed via Payload::chan (the shard index,
-/// stamped outbound and stripped inbound); invocations route by key with
-/// interned dispatch end to end.
-class ShardedServingProcess final : public sim::Process {
+/// instance per shard, the shard index as its channel, each running against
+/// the store type (its replica is a keyed state that materializes only the
+/// keys routed to that shard).  Invocations route by key with interned
+/// dispatch end to end.
+class ShardedServingProcess final : public MultiplexedProcess {
  public:
   /// Serves column `column` of `replicas`, which must outlive the process
   /// (harness::execute passes the process id as the column).
   ShardedServingProcess(const ShardedStore& store, const TimingPolicy& timing,
                         ShardedReplicas& replicas, int column);
-  /// Owns its replica states (a one-column set).
+  /// Owns its replica states: each shard's is a standalone store state,
+  /// which is a one-column row directory of its own.
   ShardedServingProcess(const ShardedStore& store, const TimingPolicy& timing);
 
-  void on_invoke(sim::Context& ctx, const std::string& op, const adt::Value& arg) override;
-  void on_invoke_id(sim::Context& ctx, adt::OpId id, const std::string& op,
-                    const adt::Value& arg) override;
-  void on_message(sim::Context& ctx, sim::ProcId src, const sim::Payload& payload) override;
-  void on_timer(sim::Context& ctx, sim::TimerId id, const sim::Payload& data) override;
-
-  /// Canonical encoding of every shard's replica state, for convergence
-  /// checks across processes.
-  [[nodiscard]] std::string state_canonical() const;
-
-  /// Forwards to every shard instance (see AlgorithmOneProcess).
-  void set_execution_logging(bool on);
-
  private:
-  class ShardContext;
-
-  void add_instances(const TimingPolicy& timing, ShardedReplicas& replicas, int column);
+  [[nodiscard]] Route route(adt::OpId id, const adt::Value& arg) const override;
 
   const ShardedStore& store_;
-  std::unique_ptr<ShardedReplicas> own_;  ///< set by the two-argument constructor
-  std::vector<std::unique_ptr<AlgorithmOneProcess>> instances_;
 };
 
 /// Restricts a keyed history to one key, stripping the envelope: the result

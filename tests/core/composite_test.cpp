@@ -63,10 +63,13 @@ struct CompositeRun {
   std::shared_ptr<sim::World> world;
 };
 
+/// `world_type` set makes the World resolve each name and call on_invoke_id.
 CompositeRun run_composite(const ProductType& product, const sim::ModelParams& params,
-                           const std::vector<harness::Call>& calls) {
+                           const std::vector<harness::Call>& calls,
+                           const adt::DataType* world_type = nullptr) {
   CompositeRun out;
   sim::WorldConfig config;
+  config.type = world_type;
   config.params = params;
   config.delays = std::make_shared<sim::UniformRandomDelay>(params.min_delay(), params.d, 17);
   out.world = std::make_shared<sim::World>(config, [&](sim::ProcId) {
@@ -152,6 +155,40 @@ TEST(CompositeTest, RestrictionStripsQualification) {
   const auto only0 = restrict_to_object(ops, 0);
   ASSERT_EQ(only0.size(), 1u);
   EXPECT_EQ(only0[0].op, "enqueue");
+}
+
+TEST(CompositeTest, InternedInvocationsRecordWhatNamedOnesRecord) {
+  // By id, the process routes through ProductType::sub_op; by name, it
+  // resolves the name first.  Every op category is exercised.
+  adt::QueueType queue;
+  adt::RegisterType reg;
+  ProductType product({&queue, &reg});
+  const sim::ModelParams params{3, 10.0, 2.0, 1.0};
+  std::vector<harness::Call> calls;
+  for (int round = 0; round < 4; ++round) {
+    const double t = round * 30.0;
+    calls.push_back({t, 0, "0:enqueue", Value{round}});
+    calls.push_back({t, 1, "1:write", Value{round * 10}});
+    calls.push_back({t + 0.5, 2, round % 2 == 0 ? "0:dequeue" : "1:read", Value::nil()});
+  }
+  const auto by_name = run_composite(product, params, calls);
+  const auto by_id = run_composite(product, params, calls, &product);
+
+  ASSERT_EQ(by_id.record.ops.size(), calls.size());
+  ASSERT_EQ(by_name.record.ops.size(), calls.size());
+  for (std::size_t i = 0; i < calls.size(); ++i) {
+    const auto& a = by_name.record.ops[i];
+    const auto& b = by_id.record.ops[i];
+    EXPECT_EQ(b.proc, a.proc);
+    EXPECT_EQ(b.op, a.op);
+    EXPECT_EQ(b.arg, a.arg);
+    EXPECT_EQ(b.ret, a.ret);
+    EXPECT_EQ(b.invoke_real, a.invoke_real);
+    EXPECT_EQ(b.response_real, a.response_real);
+    EXPECT_EQ(b.uid, a.uid);
+    ASSERT_TRUE(b.op_id.valid());
+    EXPECT_EQ(product.spec(b.op_id).name, b.op);
+  }
 }
 
 TEST(CompositeTest, SubInstancesShareNothing) {
